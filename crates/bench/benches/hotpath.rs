@@ -18,7 +18,7 @@
 //! so the trajectory is tracked across PRs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use memtis_bench::emit_bench_json;
+use memtis_bench::{emit_bench_json, emit_bench_json_with_meta};
 use memtis_sim::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -347,8 +347,8 @@ fn hotloop(_c: &mut Criterion) {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut metrics = vec![
         ("chunk".to_string(), DEFAULT_CHUNK as f64),
-        // Raw shard timings only beat S=1 when the host has spare cores;
-        // recording the core count keeps cross-host comparisons honest.
+        // Host events/s depend on the machine; recording the core count
+        // keeps cross-host comparisons honest.
         ("host_cores".to_string(), host_cores as f64),
     ];
     let mut lines = Vec::new();
@@ -395,81 +395,6 @@ fn hotloop(_c: &mut Criterion) {
         metrics.push((format!("{name}_speedup"), speedup));
         total_events += events;
         total_batched_s += batched_s;
-
-        // Shard-scaling curve: the same trace under 1/2/4 lane workers at a
-        // large chunk (amortizing per-burst spawn cost). Reports must stay
-        // byte-identical across shard counts. Raw wall-clock only improves
-        // when the host has spare cores; on an oversubscribed runner the
-        // projected time (`ShardMetrics::projected_ns`: the worker phase
-        // shrinks from its serialized wall to its critical-path share of
-        // the observed per-shard load split) models an S-core host.
-        const SHARD_CHUNK: usize = 65536;
-        const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-        const SHARD_REPS: usize = 3;
-        let mut shard_lines = Vec::new();
-        let mut base_projected_eps = f64::NAN;
-        let mut shard1_sig: Option<String> = None;
-        for s in SHARD_COUNTS {
-            let mut best_host = f64::INFINITY;
-            let mut best_projected = f64::INFINITY;
-            let mut last: Option<(RunReport, ShardMetrics)> = None;
-            for _ in 0..SHARD_REPS {
-                let mut wl = mk();
-                let mut driver = driver_config();
-                driver.chunk = SHARD_CHUNK;
-                driver.shards = Some(s);
-                let mut sim = Simulation::new(machine.clone(), System::Memtis.build(), driver);
-                let start = Instant::now();
-                let report = sim.run(&mut wl).unwrap();
-                let host = start.elapsed().as_secs_f64();
-                let m = sim.shard_metrics().expect("sharded run exposes metrics");
-                let projected = m.projected_ns(host * 1e9).max(1.0) / 1e9;
-                best_host = best_host.min(host);
-                best_projected = best_projected.min(projected);
-                last = Some((report, m));
-            }
-            let (report, sm) = last.unwrap();
-            let events = report.sim_events as f64;
-            let accesses = report.accesses as f64;
-            match &shard1_sig {
-                None => shard1_sig = Some(signature(report)),
-                Some(base) => assert_eq!(
-                    base,
-                    &signature(report),
-                    "sharded run diverged from the single-shard oracle on {name} at S={s}"
-                ),
-            }
-            let projected_eps = events / best_projected;
-            if s == 1 {
-                base_projected_eps = projected_eps;
-            }
-            shard_lines.push(format!("S={s} {:.1}", projected_eps / 1e6));
-            metrics.push((format!("{name}_shards{s}_host_ns"), best_host * 1e9));
-            metrics.push((format!("{name}_shards{s}_eps"), events / best_host));
-            metrics.push((format!("{name}_shards{s}_projected_eps"), projected_eps));
-            // Deterministic health metrics (identical run to run, so CI can
-            // gate them hard): the share of accesses the parallel lane
-            // phase executed, and the critical-path share of the per-shard
-            // load split (1/S is perfect balance, 1.0 is fully serial).
-            metrics.push((
-                format!("{name}_shards{s}_lane_frac"),
-                sm.lane_accesses as f64 / accesses,
-            ));
-            metrics.push((
-                format!("{name}_shards{s}_crit_frac"),
-                sm.crit_accesses as f64 / sm.lane_accesses.max(1) as f64,
-            ));
-            if s > 1 {
-                metrics.push((
-                    format!("{name}_shards{s}_projected_speedup"),
-                    projected_eps / base_projected_eps,
-                ));
-            }
-        }
-        println!(
-            "shard scaling ({name}, chunk {SHARD_CHUNK}, projected Mev/s): {}",
-            shard_lines.join(", ")
-        );
     }
     metrics.push(("sim_events".to_string(), total_events));
     metrics.push(("host_elapsed_ns".to_string(), total_batched_s * 1e9));
@@ -631,7 +556,25 @@ fn hotloop(_c: &mut Criterion) {
         "hotloop head-to-head, best of {REPS} reps x {ACCESSES} accesses: {}",
         lines.join(", ")
     );
-    emit_bench_json("hotloop", &metrics);
+    // Provenance beside the numbers: which source and toolchain produced
+    // them (`host_cores` above covers the machine).
+    let stdout_of = |cmd: &str, args: &[&str]| {
+        std::process::Command::new(cmd)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".to_string())
+    };
+    let meta = [
+        (
+            "rev",
+            stdout_of("git", &["describe", "--always", "--dirty"]),
+        ),
+        ("rustc", stdout_of("rustc", &["--version"])),
+    ];
+    emit_bench_json_with_meta("hotloop", &meta, &metrics);
 }
 
 /// Observer overhead at the driver level: the same MEMTIS cell run under

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! chaos [--plans N] [--accesses N] [--seed MASTER] [--systems memtis,tpp,...]
-//!       [--shards S|auto] [--heartbeat EVENTS] [--snapshot-every EVENTS]
+//!       [--heartbeat EVENTS] [--snapshot-every EVENTS]
 //!       [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off]
 //!       [--hysteresis on|off|WINDOW:BASE:MAX]
 //! ```
@@ -29,7 +29,7 @@
 
 use memtis_bench::{
     machine_for, parse_admission, parse_hysteresis, parse_shadow, CapacityKind, ModeOverrides,
-    Ratio, ShardsSpec, System,
+    Ratio, System,
 };
 use memtis_sim::faults::{FaultCounters, FaultPlan, FaultRng, OutageSpec, PressureSpec};
 use memtis_sim::prelude::*;
@@ -99,13 +99,11 @@ enum SoakMode<'a> {
     Resume(&'a [u8]),
 }
 
-#[allow(clippy::too_many_arguments)]
 fn soak_one(
     system: System,
     bench: Benchmark,
     plan: FaultPlan,
     accesses: u64,
-    shards: Option<usize>,
     heartbeat: Option<u64>,
     modes: &ModeOverrides,
     mode: SoakMode<'_>,
@@ -123,7 +121,6 @@ fn soak_one(
         timeline_interval_ns: 200_000.0,
         window_events: 25_000,
         faults: Some(plan),
-        shards,
         heartbeat_events: heartbeat,
         ..Default::default()
     };
@@ -201,7 +198,6 @@ fn main() {
     let mut accesses: u64 = 60_000;
     let mut master_seed: u64 = 0xC4A0_5000;
     let mut systems = vec![System::Memtis];
-    let mut shards: Option<ShardsSpec> = None;
     let mut heartbeat: Option<u64> = None;
     let mut snapshot_every: Option<u64> = None;
     let mut modes = ModeOverrides::default();
@@ -227,10 +223,6 @@ fn main() {
                     .get(i + 1)
                     .and_then(|s| s.parse().ok())
                     .unwrap_or(master_seed);
-                i += 2;
-            }
-            "--shards" => {
-                shards = args.get(i + 1).and_then(|s| ShardsSpec::parse(s));
                 i += 2;
             }
             "--heartbeat" => {
@@ -296,7 +288,7 @@ fn main() {
                 eprintln!("error: unknown flag {other:?}");
                 eprintln!(
                     "usage: chaos [--plans N] [--accesses N] [--seed MASTER] \
-                     [--systems memtis,tpp,...] [--shards S|auto] [--heartbeat EVENTS] \
+                     [--systems memtis,tpp,...] [--heartbeat EVENTS] \
                      [--snapshot-every EVENTS] [--admission on|off|HORIZON[:WINDOW]] \
                      [--shadow on|off] [--hysteresis on|off|WINDOW:BASE:MAX]"
                 );
@@ -304,21 +296,6 @@ fn main() {
             }
         }
     }
-
-    // Resolve `--shards auto`: every chaos run carries an active fault
-    // plan, so auto degrades to the serial engine (plan 0 stands in for
-    // the rest — all randomized plans inject faults). A fixed count is
-    // passed through untouched so fault x shard interactions stay
-    // deliberately testable.
-    let shards: Option<usize> = shards.and_then(|spec| {
-        let mut probe = DriverConfig {
-            faults: Some(random_plan(&mut FaultRng::new(master_seed))),
-            ..Default::default()
-        };
-        modes.apply(&mut probe);
-        let batch_safe = systems.iter().all(|s| s.build().batch_safe());
-        spec.resolve(&probe, batch_safe)
-    });
 
     let benches = [Benchmark::Silo, Benchmark::XsBench, Benchmark::Btree];
     let mut rng = FaultRng::new(master_seed);
@@ -344,9 +321,7 @@ fn main() {
                 Some(n) => SoakMode::Checkpointed(n),
                 None => SoakMode::Straight,
             };
-            let out = soak_one(
-                system, bench, plan, accesses, shards, heartbeat, &modes, mode,
-            );
+            let out = soak_one(system, bench, plan, accesses, heartbeat, &modes, mode);
             totals.merge(&out.faults);
             for v in &out.violations {
                 failures += 1;
@@ -362,9 +337,7 @@ fn main() {
                     Some(bytes) => SoakMode::Resume(bytes),
                     None => SoakMode::Straight,
                 };
-                let again = soak_one(
-                    system, bench, plan, accesses, shards, heartbeat, &modes, again_mode,
-                );
+                let again = soak_one(system, bench, plan, accesses, heartbeat, &modes, again_mode);
                 if again.signature != out.signature {
                     failures += 1;
                     let kind = if out.snapshot.is_some() {

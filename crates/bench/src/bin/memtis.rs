@@ -4,7 +4,7 @@
 //! memtis run  <benchmark> [--ratio 1:8] [--policy memtis] [--cxl] [--accesses N]
 //!             [--trace-out PATH] [--trace-format jsonl|perfetto] [--window EVENTS]
 //!             [--migration-bw BYTES_PER_NS] [--migration-queue DEPTH] [--faults SPEC]
-//!             [--chunk N] [--shards S|auto]
+//!             [--chunk N]
 //!             [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off]
 //!             [--hysteresis on|off|WINDOW:BASE:MAX]
 //!             [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]
@@ -40,7 +40,7 @@
 use memtis_bench::{
     access_budget, driver_config, driver_config_with_window, machine_for, normalized,
     parse_admission, parse_hysteresis, parse_shadow, run_baseline, run_system_with_driver,
-    write_trace, CapacityKind, ModeOverrides, Ratio, ShardsSpec, System, Table, TraceFormat,
+    write_trace, CapacityKind, ModeOverrides, Ratio, System, Table, TraceFormat,
     DEFAULT_WINDOW_EVENTS, SEED,
 };
 use memtis_workloads::{Benchmark, Scale};
@@ -51,12 +51,6 @@ fn parse_ratio(s: &str) -> Option<Ratio> {
         fast: f.parse().ok()?,
         capacity: c.parse().ok()?,
     })
-}
-
-fn find_benchmark(name: &str) -> Option<Benchmark> {
-    Benchmark::ALL
-        .into_iter()
-        .find(|b| b.name().eq_ignore_ascii_case(name))
 }
 
 fn find_system(name: &str) -> Option<System> {
@@ -90,7 +84,6 @@ struct Opts {
     migration_queue: Option<usize>,
     faults: Option<memtis_sim::faults::FaultPlan>,
     chunk: Option<usize>,
-    shards: Option<ShardsSpec>,
     heartbeat: Option<u64>,
     modes: ModeOverrides,
     snap: memtis_bench::SnapshotOpts,
@@ -109,11 +102,6 @@ impl Opts {
         }
         d.heartbeat_events = self.heartbeat;
         self.modes.apply(&mut d);
-        // `--shards auto` resolves against the fully-overridden driver and
-        // the selected policy's batch-safety.
-        d.shards = self
-            .shards
-            .and_then(|s| s.resolve(&d, self.policy.build().batch_safe()));
         d
     }
 }
@@ -133,7 +121,6 @@ fn parse_opts(args: &[String]) -> Opts {
         migration_queue: None,
         faults: None,
         chunk: None,
-        shards: None,
         heartbeat: None,
         modes: ModeOverrides::default(),
         snap: memtis_bench::SnapshotOpts::default(),
@@ -193,10 +180,6 @@ fn parse_opts(args: &[String]) -> Opts {
             }
             "--chunk" => {
                 o.chunk = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--shards" => {
-                o.shards = args.get(i + 1).and_then(|s| ShardsSpec::parse(s));
                 i += 2;
             }
             "--heartbeat" => {
@@ -276,7 +259,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  memtis run <benchmark> [--ratio F:C] [--policy NAME] [--cxl] [--accesses N]\n    \
          [--trace-out PATH] [--trace-format jsonl|perfetto] [--window EVENTS]\n    \
-         [--migration-bw BYTES_PER_NS] [--migration-queue DEPTH] [--chunk N] [--shards S|auto]\n    \
+         [--migration-bw BYTES_PER_NS] [--migration-queue DEPTH] [--chunk N]\n    \
          [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off] [--hysteresis on|off|W:B:M]\n    \
          [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]\n  \
          memtis compare <benchmark> [--ratio F:C] [--cxl] [--accesses N]\n  \
@@ -294,7 +277,7 @@ fn usage() -> ! {
 fn run_record(args: &[String]) {
     use memtis_sim::prelude::AccessStream;
     use memtis_workloads::{SpecStream, TraceFileWriter};
-    let Some(bench) = args.first().and_then(|s| find_benchmark(s)) else {
+    let Some(bench) = args.first().and_then(|s| Benchmark::from_name(s)) else {
         usage()
     };
     let mut out: Option<String> = None;
@@ -348,7 +331,7 @@ fn run_record(args: &[String]) {
 fn run_replay(args: &[String]) {
     use memtis_sim::prelude::Simulation;
     use memtis_workloads::{Bytes, TraceFileReader, TraceReplay};
-    let Some(bench) = args.first().and_then(|s| find_benchmark(s)) else {
+    let Some(bench) = args.first().and_then(|s| Benchmark::from_name(s)) else {
         usage()
     };
     let Some(path) = args.get(1).filter(|p| !p.starts_with("--")).cloned() else {
@@ -480,7 +463,7 @@ fn main() {
             }
         }
         Some("run") => {
-            let Some(bench) = args.get(1).and_then(|s| find_benchmark(s)) else {
+            let Some(bench) = args.get(1).and_then(|s| Benchmark::from_name(s)) else {
                 usage()
             };
             let o = parse_opts(&args[2..]);
@@ -497,9 +480,6 @@ fn main() {
                     }
                     driver.heartbeat_events = o.heartbeat;
                     o.modes.apply(&mut driver);
-                    driver.shards = o
-                        .shards
-                        .and_then(|s| s.resolve(&driver, o.policy.build().batch_safe()));
                     let (r, obs) = match memtis_bench::run_cell_traced_snapshotted(
                         bench,
                         Scale::DEFAULT,
@@ -614,7 +594,7 @@ fn main() {
         Some("replay") => run_replay(&args[1..]),
         Some("diff") => run_diff(&args[1..]),
         Some("compare") => {
-            let Some(bench) = args.get(1).and_then(|s| find_benchmark(s)) else {
+            let Some(bench) = args.get(1).and_then(|s| Benchmark::from_name(s)) else {
                 usage()
             };
             let o = parse_opts(&args[2..]);

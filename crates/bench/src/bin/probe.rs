@@ -6,11 +6,16 @@
 //!       [--trace-out PATH] [--trace-format jsonl|perfetto] [--window EVENTS]
 //!       [--report-out PATH] [--heartbeat EVENTS]
 //!       [--migration-bw BYTES_PER_NS] [--migration-queue DEPTH]
-//!       [--faults SPEC] [--chunk N] [--shards S|auto]
+//!       [--faults SPEC] [--chunk N]
 //!       [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off]
 //!       [--hysteresis on|off|WINDOW:BASE:MAX]
 //!       [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]
 //! ```
+//!
+//! `<benchmark>` is a full benchmark name in any case (`654.roms`, `silo`),
+//! `<ratio>` one of `1:2`, `1:8`, `1:16`, `2:1`, and `<system>` a Fig. 5
+//! system name. A missing positional takes its default (PageRank, 1:8,
+//! all); an unknown one prints usage and exits 2.
 //!
 //! `--faults` takes a seeded fault plan, e.g.
 //! `seed=7,abort=0.02,dirty=0.05,drop=0.05,outage=400000:50000`
@@ -32,7 +37,7 @@
 use memtis_bench::{
     access_budget, driver_config_with_window, machine_for, parse_admission, parse_hysteresis,
     parse_shadow, run_baseline, run_cell_traced, run_system_with_driver, write_trace, CapacityKind,
-    ModeOverrides, Ratio, ShardsSpec, System, TraceFormat, DEFAULT_WINDOW_EVENTS, SEED,
+    ModeOverrides, Ratio, System, TraceFormat, DEFAULT_WINDOW_EVENTS, SEED,
 };
 use memtis_workloads::{Benchmark, Scale};
 
@@ -81,6 +86,34 @@ fn probe_memtis(
     println!("  base hist: {:?}", p.base_histogram().bins());
 }
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: probe [<benchmark>] [<ratio>] [<system>|all] [--test-scale] \
+         [--trace-out PATH] [--trace-format jsonl|perfetto] [--window EVENTS] \
+         [--report-out PATH] [--heartbeat EVENTS] [--migration-bw BYTES_PER_NS] \
+         [--migration-queue DEPTH] [--faults SPEC] [--chunk N] \
+         [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off] \
+         [--hysteresis on|off|WINDOW:BASE:MAX] \
+         [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]\n\
+         benchmarks: {}; ratios: 1:2 1:8 1:16 2:1; systems: all {}",
+        Benchmark::ALL.map(|b| b.name()).join(" "),
+        System::FIG5.map(|s| s.name()).join(" "),
+    );
+    std::process::exit(2);
+}
+
+/// Resolves an optional positional: `None` keeps `default`, a value
+/// `parse` rejects prints usage.
+fn positional_or<T>(arg: Option<&String>, default: T, parse: impl Fn(&str) -> Option<T>) -> T {
+    match arg {
+        None => default,
+        Some(s) => parse(s).unwrap_or_else(|| {
+            eprintln!("error: unknown argument {s:?}");
+            usage()
+        }),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut positional: Vec<String> = Vec::new();
@@ -92,7 +125,6 @@ fn main() {
     let mut migration_queue: Option<usize> = None;
     let mut faults: Option<memtis_sim::faults::FaultPlan> = None;
     let mut chunk: Option<usize> = None;
-    let mut shards: Option<ShardsSpec> = None;
     let mut report_out: Option<String> = None;
     let mut heartbeat: Option<u64> = None;
     let mut modes = ModeOverrides::default();
@@ -155,10 +187,6 @@ fn main() {
             }
             "--chunk" => {
                 chunk = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--shards" => {
-                shards = args.get(i + 1).and_then(|s| ShardsSpec::parse(s));
                 i += 2;
             }
             "--admission" => {
@@ -226,32 +254,47 @@ fn main() {
             }
         }
     }
-    let bench = Benchmark::ALL
-        .into_iter()
-        .find(|b| Some(b.name().to_lowercase()) == positional.first().map(|s| s.to_lowercase()))
-        .unwrap_or(Benchmark::PageRank);
-    let ratio = match positional.get(1).map(String::as_str) {
-        Some("1:2") => Ratio {
-            fast: 1,
-            capacity: 2,
-        },
-        Some("1:16") => Ratio {
-            fast: 1,
-            capacity: 16,
-        },
-        Some("2:1") => Ratio::TWO_TO_ONE,
-        _ => Ratio {
+    let bench = positional_or(
+        positional.first(),
+        Benchmark::PageRank,
+        Benchmark::from_name,
+    );
+    let ratio = positional_or(
+        positional.get(1),
+        Ratio {
             fast: 1,
             capacity: 8,
         },
-    };
-    let systems: Vec<System> = match positional.get(2).map(String::as_str) {
-        Some("all") | None => System::FIG5.to_vec(),
-        Some(name) => System::FIG5
+        |s| match s {
+            "1:2" => Some(Ratio {
+                fast: 1,
+                capacity: 2,
+            }),
+            "1:8" => Some(Ratio {
+                fast: 1,
+                capacity: 8,
+            }),
+            "1:16" => Some(Ratio {
+                fast: 1,
+                capacity: 16,
+            }),
+            "2:1" => Some(Ratio::TWO_TO_ONE),
+            _ => None,
+        },
+    );
+    let systems: Vec<System> = positional_or(positional.get(2), System::FIG5.to_vec(), |name| {
+        if name == "all" {
+            return Some(System::FIG5.to_vec());
+        }
+        System::FIG5
             .into_iter()
-            .filter(|s| s.name().eq_ignore_ascii_case(name))
-            .collect(),
-    };
+            .find(|s| s.name().eq_ignore_ascii_case(name))
+            .map(|s| vec![s])
+    });
+    if positional.len() > 3 {
+        eprintln!("error: unexpected argument {:?}", positional[3]);
+        usage();
+    }
     let mut driver = memtis_bench::driver_config();
     driver.migration_bw = migration_bw;
     driver.migration_queue = migration_queue;
@@ -261,10 +304,6 @@ fn main() {
     }
     driver.heartbeat_events = heartbeat;
     modes.apply(&mut driver);
-    // Resolve `--shards auto` after every override is in the driver (its
-    // fallback heuristics read faults/bw/shadow/chunk from there).
-    let batch_safe = systems.iter().all(|s| s.build().batch_safe());
-    driver.shards = shards.and_then(|s| s.resolve(&driver, batch_safe));
     if let Err(e) = snap.validate() {
         eprintln!("error: {e}");
         std::process::exit(2);
@@ -346,7 +385,6 @@ fn main() {
         }
         traced_driver.heartbeat_events = heartbeat;
         modes.apply(&mut traced_driver);
-        traced_driver.shards = shards.and_then(|s| s.resolve(&traced_driver, batch_safe));
         let (report, obs) = run_cell_traced(
             bench,
             scale,

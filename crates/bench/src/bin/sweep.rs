@@ -1,10 +1,10 @@
 //! `sweep` — parallel experiment sweep CLI.
 //!
 //! ```text
-//! sweep [--jobs N] [--systems memtis,tpp,...] [--benches roms,btree,...]
+//! sweep [--jobs N] [--systems memtis,tpp,...] [--benches 654.roms,btree,...]
 //!       [--ratios 1:8,1:16] [--seeds K] [--accesses N] [--window EVENTS]
 //!       [--cxl] [--test-scale] [--migration-bw BYTES_PER_NS]
-//!       [--migration-queue DEPTH] [--faults SPEC] [--chunk N] [--shards S|auto]
+//!       [--migration-queue DEPTH] [--faults SPEC] [--chunk N]
 //!       [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off]
 //!       [--hysteresis on|off|WINDOW:BASE:MAX]
 //! ```
@@ -17,8 +17,8 @@
 
 use memtis_bench::sweep::{emit_sweep, matrix, run_sweep, SweepConfig};
 use memtis_bench::{
-    access_budget, driver_config_with_window, parse_admission, parse_hysteresis, parse_shadow,
-    CapacityKind, ModeOverrides, Ratio, ShardsSpec, System, DEFAULT_WINDOW_EVENTS,
+    access_budget, parse_admission, parse_hysteresis, parse_shadow, CapacityKind, ModeOverrides,
+    Ratio, System, DEFAULT_WINDOW_EVENTS,
 };
 use memtis_sim::prelude::DEFAULT_CHUNK;
 use memtis_workloads::{Benchmark, Scale};
@@ -29,12 +29,6 @@ fn parse_ratio(s: &str) -> Option<Ratio> {
         fast: f.parse().ok()?,
         capacity: c.parse().ok()?,
     })
-}
-
-fn find_benchmark(name: &str) -> Option<Benchmark> {
-    Benchmark::ALL
-        .into_iter()
-        .find(|b| b.name().eq_ignore_ascii_case(name))
 }
 
 fn find_system(name: &str) -> Option<System> {
@@ -75,7 +69,7 @@ fn usage() -> ! {
         "usage: sweep [--jobs N] [--systems a,b,..] [--benches x,y,..] \
          [--ratios F:C,..] [--seeds K] [--accesses N] [--window EVENTS] \
          [--cxl] [--test-scale] [--migration-bw BYTES_PER_NS] \
-         [--migration-queue DEPTH] [--faults SPEC] [--chunk N] [--shards S|auto] \
+         [--migration-queue DEPTH] [--faults SPEC] [--chunk N] \
          [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off] \
          [--hysteresis on|off|WINDOW:BASE:MAX]"
     );
@@ -101,7 +95,6 @@ fn main() {
     let mut migration_queue: Option<usize> = None;
     let mut faults: Option<memtis_sim::faults::FaultPlan> = None;
     let mut chunk = DEFAULT_CHUNK;
-    let mut shards: Option<ShardsSpec> = None;
     let mut modes = ModeOverrides::default();
 
     let mut i = 0;
@@ -122,7 +115,7 @@ fn main() {
                 i += 2;
             }
             "--benches" => {
-                benches = parse_list(value(i + 1), "benchmark", find_benchmark);
+                benches = parse_list(value(i + 1), "benchmark", Benchmark::from_name);
                 i += 2;
             }
             "--ratios" => {
@@ -163,10 +156,6 @@ fn main() {
                 chunk = value(i + 1).parse().unwrap_or_else(|_| usage());
                 i += 2;
             }
-            "--shards" => {
-                shards = Some(ShardsSpec::parse(value(i + 1)).unwrap_or_else(|| usage()));
-                i += 2;
-            }
             "--admission" => {
                 modes.admission = Some(parse_admission(value(i + 1)).unwrap_or_else(|e| {
                     eprintln!("error: {e}");
@@ -205,35 +194,6 @@ fn main() {
         eprintln!("error: empty sweep matrix");
         std::process::exit(2);
     }
-    // Resolve `--shards auto` against a cell-representative driver config:
-    // auto falls back to serial whenever the cells would (active fault
-    // plans, migration bandwidth caps, shadow migration, batch-unsafe
-    // policies, per-event chunks, or a single-core host).
-    let shards: Option<usize> = shards.and_then(|spec| {
-        let mut probe = driver_config_with_window(window_events);
-        probe.migration_bw = migration_bw;
-        probe.migration_queue = migration_queue;
-        probe.faults = faults;
-        probe.chunk = chunk;
-        modes.apply(&mut probe);
-        let batch_safe = systems.iter().all(|s| s.build().batch_safe());
-        spec.resolve(&probe, batch_safe)
-    });
-    // Intra-run sharding multiplies the sweep's thread demand: warn when
-    // jobs x shards oversubscribes the host (results are unchanged, only
-    // slower than a better-matched combination).
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let total_threads = jobs.max(1) * shards.unwrap_or(1).max(1);
-    if total_threads > host_cores {
-        eprintln!(
-            "warning: --jobs {} x --shards {} = {} threads oversubscribes {} host core(s); \
-             consider lowering one of them",
-            jobs.max(1),
-            shards.unwrap_or(1).max(1),
-            total_threads,
-            host_cores
-        );
-    }
     println!(
         "sweep: {} cells ({} systems x {} benches x {} ratios x {} seeds), {} jobs, {} accesses/cell",
         cells.len(),
@@ -259,7 +219,6 @@ fn main() {
         migration_queue,
         faults,
         chunk,
-        shards,
         modes,
     };
     let result = run_sweep(&cells, &cfg);

@@ -133,57 +133,7 @@ pub fn driver_config_with_window(window_events: u64) -> DriverConfig {
         hysteresis: None,
         faults: None,
         chunk: DEFAULT_CHUNK,
-        shards: None,
         heartbeat_events: None,
-        pool_workers: None,
-        shard_scoped: false,
-    }
-}
-
-/// A `--shards` CLI value: an explicit count, or `auto` to size from the
-/// host and run configuration at resolution time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardsSpec {
-    /// Pick the shard count automatically ([`ShardsSpec::resolve`]).
-    Auto,
-    /// Exactly this many shards.
-    Fixed(usize),
-}
-
-impl ShardsSpec {
-    /// Parses a `--shards` argument: `auto` or a positive integer.
-    pub fn parse(s: &str) -> Option<ShardsSpec> {
-        if s.eq_ignore_ascii_case("auto") {
-            return Some(ShardsSpec::Auto);
-        }
-        s.parse::<usize>().ok().map(ShardsSpec::Fixed)
-    }
-
-    /// Resolves to a concrete `DriverConfig::shards` value.
-    ///
-    /// `Fixed(n)` passes through untouched. `Auto` inspects the run:
-    /// configurations that force the sharded pipeline's serial fallback
-    /// anyway — active fault plans, a bandwidth-capped migration link,
-    /// shadow-copy migration, a batch-unsafe policy, or per-event batching
-    /// (`chunk <= 1`) — resolve to `None` (don't spawn a pool that can
-    /// never engage), as does a single-core host, where lane parallelism
-    /// can't beat the serial path. Otherwise the shard count is the host's
-    /// available parallelism, capped at 8 (lane-balance over 64 lanes
-    /// degrades beyond that; see DESIGN.md §12).
-    pub fn resolve(self, driver: &DriverConfig, batch_safe: bool) -> Option<usize> {
-        let n = match self {
-            ShardsSpec::Fixed(n) => return Some(n),
-            ShardsSpec::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        };
-        let has_faults = driver.faults.as_ref().is_some_and(|p| !p.is_inert());
-        let bw_capped = driver.migration_bw.is_some_and(|v| v > 0.0);
-        let shadowed = driver.shadow == Some(true);
-        if has_faults || bw_capped || shadowed || !batch_safe || driver.chunk <= 1 || n <= 1 {
-            return None;
-        }
-        Some(n.min(8))
     }
 }
 

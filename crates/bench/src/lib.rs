@@ -17,11 +17,11 @@ pub use harness::{
     machine_for, normalized, parse_admission, parse_hysteresis, parse_shadow, run_baseline,
     run_cell, run_cell_seeded, run_cell_snapshotted, run_cell_traced, run_cell_traced_snapshotted,
     run_sim, run_sim_traced, run_snapshotted, run_system, run_system_with_driver, write_snapshot,
-    write_trace, CapacityKind, ModeOverrides, Ratio, ShardsSpec, SnapshotOpts, System, TraceFormat,
+    write_trace, CapacityKind, ModeOverrides, Ratio, SnapshotOpts, System, TraceFormat,
     DEFAULT_WINDOW_EVENTS, SEED, TIME_COMPRESSION,
 };
 pub use plot::{bar, sparkline};
-pub use report::{emit, emit_bench_json, experiments_dir, Table};
+pub use report::{emit, emit_bench_json, emit_bench_json_with_meta, experiments_dir, Table};
 pub use rundiff::{
     diff_reports, flatten, glob_match, parse_diff_args, render_diff, report_to_json, DiffOptions,
     DiffReport, DiffRow, REPORT_SCHEMA,

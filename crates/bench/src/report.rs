@@ -4,6 +4,7 @@
 //! `cargo bench` captures) and writes the same data as CSV under
 //! `target/experiments/` for plotting.
 
+use memtis_sim::obs::json::escape;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
@@ -121,16 +122,29 @@ pub fn emit(name: &str, title: &str, table: &Table) {
 /// seconds, …) so the perf trajectory of the simulator itself is tracked
 /// across PRs alongside the experiment CSVs.
 pub fn emit_bench_json(name: &str, metrics: &[(String, f64)]) {
+    emit_bench_json_with_meta(name, &[], metrics);
+}
+
+/// [`emit_bench_json`] with string provenance fields (source revision,
+/// toolchain, …) written ahead of the numeric metrics.
+pub fn emit_bench_json_with_meta(name: &str, meta: &[(&str, String)], metrics: &[(String, f64)]) {
+    let mut fields: Vec<(String, String)> = meta
+        .iter()
+        .map(|(k, v)| (k.to_string(), format!("\"{}\"", escape(v))))
+        .collect();
+    // Non-finite values have no JSON spelling; they are written as 0.
+    fields.extend(metrics.iter().map(|(k, v)| {
+        (
+            k.clone(),
+            (if v.is_finite() { *v } else { 0.0 }).to_string(),
+        )
+    }));
     let mut body = String::from("{\n");
-    for (i, (k, v)) in metrics.iter().enumerate() {
-        let comma = if i + 1 < metrics.len() { "," } else { "" };
-        // Keys are internal identifiers; escape quotes defensively anyway.
-        let key = k.replace('\\', "\\\\").replace('"', "\\\"");
-        let val = if v.is_finite() { *v } else { 0.0 };
-        let _ = writeln!(body, "  \"{key}\": {val}{comma}");
+    for (i, (k, v)) in fields.iter().enumerate() {
+        let comma = if i + 1 < fields.len() { "," } else { "" };
+        let _ = writeln!(body, "  \"{}\": {v}{comma}", escape(k));
     }
-    body.push('}');
-    body.push('\n');
+    body.push_str("}\n");
     let path = experiments_dir().join(format!("BENCH_{name}.json"));
     if let Err(e) = fs::write(&path, body) {
         eprintln!("warning: could not write {}: {e}", path.display());
@@ -161,6 +175,34 @@ mod tests {
         assert!(body.contains("\"nan_guard\": 0"));
         // No trailing comma before the closing brace.
         assert!(!body.contains(",\n}"));
+        let _ = fs::remove_file(path);
+    }
+
+    #[test]
+    fn bench_json_meta_fields_are_quoted_strings() {
+        emit_bench_json_with_meta(
+            "report_meta_selftest",
+            &[
+                ("rev", "abc123-dirty".to_string()),
+                ("rustc", "rustc \"1\"".to_string()),
+            ],
+            &[("events_per_sec".to_string(), 2.0)],
+        );
+        let path = experiments_dir().join("BENCH_report_meta_selftest.json");
+        let body = fs::read_to_string(&path).unwrap();
+        let json = memtis_sim::obs::json::Json::parse(&body).unwrap();
+        assert_eq!(
+            json.get("rev").and_then(|v| v.as_str()),
+            Some("abc123-dirty")
+        );
+        assert_eq!(
+            json.get("rustc").and_then(|v| v.as_str()),
+            Some("rustc \"1\"")
+        );
+        assert_eq!(
+            json.get("events_per_sec").and_then(|v| v.as_f64()),
+            Some(2.0)
+        );
         let _ = fs::remove_file(path);
     }
 

@@ -119,12 +119,6 @@ pub struct SweepConfig {
     pub faults: Option<memtis_sim::faults::FaultPlan>,
     /// Driver chunk size; `0`/`1` forces the legacy per-event loop.
     pub chunk: usize,
-    /// Intra-run sharding: worker threads per cell (see
-    /// [`memtis_sim::prelude::DriverConfig::shards`]). `None` keeps cells
-    /// single-threaded. Results are byte-identical for every value; the
-    /// knob only affects host wall time. Combined with `jobs`, the host
-    /// runs up to `jobs x shards` threads at once.
-    pub shards: Option<usize>,
     /// Engine-mode overrides (`--admission`/`--shadow`/`--hysteresis`)
     /// applied to every cell; defaults leave every machine config as-is.
     pub modes: ModeOverrides,
@@ -143,7 +137,6 @@ impl SweepConfig {
             migration_queue: None,
             faults: None,
             chunk: DEFAULT_CHUNK,
-            shards: None,
             modes: ModeOverrides::default(),
         }
     }
@@ -208,7 +201,6 @@ pub fn run_sweep_cell(cell: SweepCell, cfg: &SweepConfig) -> RunReport {
     driver.migration_queue = cfg.migration_queue;
     driver.faults = cfg.faults;
     driver.chunk = cfg.chunk;
-    driver.shards = cfg.shards;
     cfg.modes.apply(&mut driver);
     run_cell_seeded(
         cell.bench,
@@ -393,7 +385,6 @@ mod tests {
             migration_queue: None,
             faults: None,
             chunk: DEFAULT_CHUNK,
-            shards: None,
             modes: ModeOverrides::default(),
         }
     }
@@ -470,25 +461,6 @@ mod tests {
             ) {
                 assert_eq!(cell.seed(), legacy(&cell), "seed drifted: {}", cell.label());
             }
-        }
-    }
-
-    #[test]
-    fn sharded_cells_are_shard_count_invariant() {
-        // `shards: Some(1)` is the sharded pipeline's serial oracle (the
-        // sharded path hoists tick boundaries to burst granularity, so it is
-        // compared against itself across thread counts, not against `None`).
-        let cells = tiny_matrix()[..1].to_vec();
-        let mut cfg = tiny_cfg(1);
-        cfg.shards = Some(1);
-        let base = run_sweep(&cells, &cfg);
-        for shards in [2usize, 4] {
-            cfg.shards = Some(shards);
-            let sharded = run_sweep(&cells, &cfg);
-            let (a, b) = (&base.cells[0].report, &sharded.cells[0].report);
-            assert_eq!(a.wall_ns.to_bits(), b.wall_ns.to_bits());
-            assert_eq!(format!("{:?}", a.stats), format!("{:?}", b.stats));
-            assert_eq!(a.windows, b.windows);
         }
     }
 

@@ -109,17 +109,6 @@ impl AccessHistogram {
         self.bins[MAX_BIN] = 0;
     }
 
-    /// Folds `other` into `self` bin by bin (underflow tallies included).
-    /// Used by sharded runs to merge per-shard histogram deltas at epoch
-    /// barriers; merge order does not matter because the fold is a plain
-    /// sum.
-    pub fn merge(&mut self, other: &AccessHistogram) {
-        for (dst, src) in self.bins.iter_mut().zip(other.bins.iter()) {
-            *dst += src;
-        }
-        self.underflows += other.underflows;
-    }
-
     /// Pages (4 KiB units) in bins `>= b`.
     pub fn pages_at_or_above(&self, b: usize) -> u64 {
         self.bins[b.min(NUM_BINS)..].iter().sum()
@@ -230,24 +219,6 @@ mod tests {
         h.add(1, 4);
         h.remove(1, 4);
         assert_eq!(h.underflows(), 9);
-    }
-
-    #[test]
-    fn merge_sums_bins_and_underflows() {
-        let mut a = AccessHistogram::new();
-        a.add(2, 5);
-        a.add(15, 1);
-        a.remove(0, 3); // underflow: 3
-        let mut b = AccessHistogram::new();
-        b.add(2, 7);
-        b.add(9, 2);
-        b.remove(1, 4); // underflow: 4
-        a.merge(&b);
-        assert_eq!(a.pages_in(2), 12);
-        assert_eq!(a.pages_in(9), 2);
-        assert_eq!(a.pages_in(15), 1);
-        assert_eq!(a.total_pages(), 15);
-        assert_eq!(a.underflows(), 7);
     }
 
     #[test]

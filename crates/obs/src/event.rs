@@ -277,17 +277,6 @@ pub enum EventKind {
         /// Underflows detected since the previous report.
         count: u64,
     },
-    /// A sharded run cut a telemetry window: cumulative epoch-barrier
-    /// tallies at the cut. Field values are shard-count-invariant (burst
-    /// boundaries and lane spills do not depend on the thread grouping), so
-    /// traces stay byte-identical across `--shards` values.
-    ShardBarrier {
-        /// Parallel bursts merged so far.
-        bursts: u64,
-        /// Accesses that spilled from a stopped lane to the coordinator's
-        /// serial path so far.
-        spills: u64,
-    },
     /// Admission control rejected a promotion: the predicted payback time
     /// exceeded the configured horizon.
     AdmissionRejected {
@@ -338,7 +327,6 @@ impl EventKind {
             EventKind::MigrationAborted { .. } => "migration_aborted",
             EventKind::FaultInjected { .. } => "fault_injected",
             EventKind::HistUnderflow { .. } => "hist_underflow",
-            EventKind::ShardBarrier { .. } => "shard_barrier",
             EventKind::AdmissionRejected { .. } => "admission_rejected",
             EventKind::ShadowReclaimed { .. } => "shadow_reclaimed",
             EventKind::PromotionBackoff { .. } => "promotion_backoff",
@@ -575,11 +563,6 @@ impl Event {
                 w.u8(14);
                 w.u64(count);
             }
-            EventKind::ShardBarrier { bursts, spills } => {
-                w.u8(15);
-                w.u64(bursts);
-                w.u64(spills);
-            }
             EventKind::AdmissionRejected {
                 vpage,
                 to,
@@ -685,10 +668,6 @@ impl Event {
                 vpage: r.u64()?,
             },
             14 => EventKind::HistUnderflow { count: r.u64()? },
-            15 => EventKind::ShardBarrier {
-                bursts: r.u64()?,
-                spills: r.u64()?,
-            },
             16 => EventKind::AdmissionRejected {
                 vpage: r.u64()?,
                 to: r.u8()?,
@@ -793,10 +772,6 @@ mod tests {
                 vpage: 0,
             },
             EventKind::HistUnderflow { count: 2 },
-            EventKind::ShardBarrier {
-                bursts: 40,
-                spills: 2,
-            },
             EventKind::AdmissionRejected {
                 vpage: 3,
                 to: 0,
@@ -822,6 +797,20 @@ mod tests {
             r.expect_end().unwrap();
             assert_eq!(back, ev);
         }
+    }
+
+    #[test]
+    fn retired_tag_15_is_rejected() {
+        // Tag 15 belonged to a removed event kind; later tags kept their
+        // numbers, so 15 now decodes as an unknown tag.
+        let mut w = SnapWriter::new();
+        w.f64(1.0);
+        w.u8(15);
+        let bytes = w.finish();
+        assert_eq!(
+            Event::snap_load(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt("unknown EventKind tag"))
+        );
     }
 
     #[test]

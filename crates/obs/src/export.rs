@@ -150,9 +150,6 @@ fn push_kind_fields(out: &mut String, kind: &EventKind) {
         EventKind::HistUnderflow { count } => {
             let _ = write!(out, r#","count":{count}"#);
         }
-        EventKind::ShardBarrier { bursts, spills } => {
-            let _ = write!(out, r#","bursts":{bursts},"spills":{spills}"#);
-        }
         EventKind::AdmissionRejected {
             vpage,
             to,
@@ -291,7 +288,7 @@ fn perfetto_tid(kind: &EventKind) -> u32 {
         | EventKind::MigrationAborted { .. }
         | EventKind::FaultInjected { .. } => 2,
         EventKind::Split { .. } | EventKind::Collapse { .. } => 3,
-        EventKind::HistUnderflow { .. } | EventKind::ShardBarrier { .. } => 1,
+        EventKind::HistUnderflow { .. } => 1,
         // Engine-mode lifecycle events ride the migration thread.
         EventKind::AdmissionRejected { .. }
         | EventKind::ShadowReclaimed { .. }
@@ -393,7 +390,7 @@ pub fn export_perfetto(obs: &TracingObserver, windows: &[WindowSample]) -> Strin
 }
 
 /// All event-kind labels the JSONL validator accepts.
-const KNOWN_KINDS: [&str; 16] = [
+const KNOWN_KINDS: [&str; 15] = [
     "promotion",
     "demotion",
     "split",
@@ -409,7 +406,6 @@ const KNOWN_KINDS: [&str; 16] = [
     "migration_aborted",
     "fault_injected",
     "hist_underflow",
-    "shard_barrier",
 ];
 
 /// Summary returned by a successful [`validate_jsonl`] pass.

@@ -10,7 +10,7 @@
 //!
 //! Histograms are **mergeable** and **differenceable**: bucket counts,
 //! the total count, and the exact running sum are all plain `u64`s, so
-//! [`LatHist::merge`] of per-window (or per-shard) histograms is
+//! [`LatHist::merge`] of per-window histograms is
 //! bit-exactly the histogram of the concatenated stream, and
 //! [`LatHist::diff`] against an earlier snapshot yields the window in
 //! between. The flight recorder uses cumulative snapshots + `diff` to cut
@@ -132,8 +132,8 @@ impl LatHist {
 
     /// Records an `f64` nanosecond value, rounding half-up to `u64`.
     ///
-    /// All tap sites use this one conversion so shard-merged and serial
-    /// histograms agree bit-exactly. Negative / NaN inputs clamp to 0.
+    /// All tap sites use this one conversion so merged and directly
+    /// recorded histograms agree bit-exactly. Negative / NaN inputs clamp to 0.
     #[inline]
     pub fn record_ns(&mut self, v: f64) {
         self.record(ns_to_u64(v));

@@ -228,7 +228,6 @@ impl Observer for TracingObserver {
             EventKind::MigrationAborted { .. } => r.inc(CounterId::MigrationsAborted),
             EventKind::FaultInjected { .. } => r.inc(CounterId::FaultsInjected),
             EventKind::HistUnderflow { count } => r.add(CounterId::HistUnderflow, count),
-            EventKind::ShardBarrier { .. } => r.inc(CounterId::ShardBarriers),
             EventKind::AdmissionRejected { .. } => r.inc(CounterId::AdmissionRejected),
             EventKind::ShadowReclaimed { .. } => r.inc(CounterId::ShadowReclaimed),
             EventKind::PromotionBackoff { .. } => r.inc(CounterId::PromotionBackoffs),

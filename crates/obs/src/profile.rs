@@ -31,37 +31,23 @@ pub enum SpanId {
     PolicyTick,
     /// Advancing the async migration engine (`pump_transfers`).
     MigrationPump,
-    /// Waiting at the sharded-burst barrier (worker join).
-    ShardBarrier,
-    /// Coordinator-side fold of sharded lane outcomes.
-    ShardFold,
     /// Batched access execution inside the machine.
     BatchExec,
     /// Cutting a telemetry window.
     WindowCut,
-    /// Publishing a burst to the persistent worker pool and waking the
-    /// parked workers (coordinator-side dispatch cost).
-    PoolHandoff,
-    /// Coordinator blocked at the pool barrier after finishing its own
-    /// chunk, waiting for the workers to drain the remaining chunks.
-    PoolIdle,
 }
 
 /// All span ids, in display order. `name()` is matched exhaustively, so a
 /// new variant fails compilation until it is named and listed here (the
 /// `table_covers_every_span` test pins the list length).
-pub const ALL_SPANS: [SpanId; 11] = [
+pub const ALL_SPANS: [SpanId; 7] = [
     SpanId::SamplingDrain,
     SpanId::CoolingTick,
     SpanId::ThresholdRecompute,
     SpanId::PolicyTick,
     SpanId::MigrationPump,
-    SpanId::ShardBarrier,
-    SpanId::ShardFold,
     SpanId::BatchExec,
     SpanId::WindowCut,
-    SpanId::PoolHandoff,
-    SpanId::PoolIdle,
 ];
 
 impl SpanId {
@@ -73,12 +59,8 @@ impl SpanId {
             SpanId::ThresholdRecompute => "threshold_recompute",
             SpanId::PolicyTick => "policy_tick",
             SpanId::MigrationPump => "migration_pump",
-            SpanId::ShardBarrier => "shard_barrier",
-            SpanId::ShardFold => "shard_fold",
             SpanId::BatchExec => "batch_exec",
             SpanId::WindowCut => "window_cut",
-            SpanId::PoolHandoff => "pool_handoff",
-            SpanId::PoolIdle => "pool_idle",
         }
     }
 

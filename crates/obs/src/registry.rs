@@ -96,8 +96,6 @@ registry_ids! {
         FaultsInjected => "faults_injected_total",
         /// Histogram bin underflows (metadata/histogram desync) detected.
         HistUnderflow => "hist_underflows_total",
-        /// Epoch-barrier telemetry events emitted by sharded runs.
-        ShardBarriers => "shard_barriers_total",
         /// Promotions rejected by payback-based admission control.
         AdmissionRejected => "admission_rejected_total",
         /// Shadow frames invalidated and freed.

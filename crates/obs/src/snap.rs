@@ -20,7 +20,12 @@
 //! order, width, or meaning. There is no in-place migration: a reader
 //! only accepts its own version. Snapshots are short-lived operational
 //! artifacts (checkpoint/resume within one experiment), not archival
-//! data.
+//! data. Removing a section is a layout change too: v3 dropped two
+//! sections that only the removed intra-run parallel mode wrote.
+//!
+//! Every `u32` element count that sizes an allocation is read through
+//! [`SnapReader::count`], which rejects a count the remaining bytes could
+//! not hold, so a corrupt prefix is a typed error, never a huge allocation.
 
 use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};
@@ -32,7 +37,11 @@ pub const SNAP_MAGIC: [u8; 8] = *b"MEMTISSN";
 /// v2: transfers carry the per-pass waste-idempotence flag, the machine
 /// serializes an engine-modes section (admission / shadow / hysteresis
 /// state), and migration stats gained the mode counters.
-pub const SNAP_VERSION: u32 = 2;
+///
+/// v3: the intra-run parallel mode is gone, so the driver no longer writes
+/// its burst-tally section and the machine's TLB/LLC section no longer
+/// opens with an array of sliced TLB/LLC copies.
+pub const SNAP_VERSION: u32 = 3;
 
 /// Errors surfaced while decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -226,6 +235,18 @@ impl<'a> SnapReader<'a> {
         Ok(out)
     }
 
+    /// Reads a `u32` element count and checks it against the bytes left:
+    /// every element occupies at least `min_elem_bytes`, so a count that
+    /// could not fit is a [`SnapError::Corrupt`] rather than a huge
+    /// allocation. Use it for every count that sizes a `Vec::with_capacity`.
+    pub fn count(&mut self, min_elem_bytes: usize) -> Result<usize, SnapError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_elem_bytes) > self.remaining() {
+            return Err(SnapError::Corrupt("element count exceeds remaining bytes"));
+        }
+        Ok(n)
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, SnapError> {
         Ok(self.take(1)?[0])
@@ -301,6 +322,25 @@ impl<'a> SnapReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn count_is_bounded_by_remaining_bytes() {
+        let mut w = SnapWriter::new();
+        w.u32(2);
+        w.u64(1);
+        w.u64(2);
+        let bytes = w.finish();
+        assert_eq!(SnapReader::new(&bytes).count(8).unwrap(), 2);
+        assert_eq!(
+            SnapReader::new(&bytes).count(9),
+            Err(SnapError::Corrupt("element count exceeds remaining bytes"))
+        );
+        let huge = u32::MAX.to_le_bytes();
+        assert!(matches!(
+            SnapReader::new(&huge).count(1),
+            Err(SnapError::Corrupt(_))
+        ));
+    }
 
     #[test]
     fn primitives_round_trip() {

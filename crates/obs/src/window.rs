@@ -112,7 +112,7 @@ impl WindowSample {
         let window_accesses = r.u64()?;
         let window_throughput = r.f64()?;
         let fast_hit_ratio = r.f64()?;
-        let n = r.u32()? as usize;
+        let n = r.count(8)?;
         let mut tier_hit_ratios = Vec::with_capacity(n);
         for _ in 0..n {
             tier_hit_ratios.push(r.f64()?);
@@ -121,12 +121,12 @@ impl WindowSample {
         let ehr = r.f64()?;
         let migrated_bytes = r.u64()?;
         let migration_bw = r.f64()?;
-        let n = r.u32()? as usize;
+        let n = r.count(8)?;
         let mut hist_bins = Vec::with_capacity(n);
         for _ in 0..n {
             hist_bins.push(r.u64()?);
         }
-        let n = r.u32()? as usize;
+        let n = r.count(12)?;
         let mut gauges = Vec::with_capacity(n);
         for _ in 0..n {
             let name = r.static_str()?;
@@ -239,7 +239,8 @@ impl WindowCollector {
         if every == 0 {
             return Err(crate::snap::SnapError::Corrupt("window length zero"));
         }
-        let n = r.u32()? as usize;
+        // A sample's fixed fields plus its three counts take 100 bytes.
+        let n = r.count(100)?;
         let mut samples = Vec::with_capacity(n);
         for _ in 0..n {
             samples.push(WindowSample::snap_load(r)?);
@@ -247,7 +248,7 @@ impl WindowCollector {
         let last_events = r.u64()?;
         let last_wall = r.f64()?;
         let last_accesses = r.u64()?;
-        let n = r.u32()? as usize;
+        let n = r.count(8)?;
         let mut last_tier_hits = Vec::with_capacity(n);
         for _ in 0..n {
             last_tier_hits.push(r.u64()?);
@@ -401,6 +402,35 @@ mod tests {
         let a = c.close(cut(200, 3e6, 190, &hits2, 12_288)).clone();
         let b = back.close(cut(200, 3e6, 190, &hits2, 12_288)).clone();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn snap_load_rejects_oversized_counts() {
+        let mut c = WindowCollector::new(100);
+        let hits = [80u64, 20];
+        c.close(cut(100, 1e6, 90, &hits, 4096));
+        let mut w = crate::snap::SnapWriter::new();
+        c.snap_save(&mut w);
+        let bytes = w.finish();
+        // `every`, then the sample count; the first sample's seven fixed
+        // fields precede its tier-ratio count.
+        for at in [8, 8 + 4 + 56] {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let mut r = crate::snap::SnapReader::new(&bad);
+            assert!(matches!(
+                WindowCollector::snap_load(&mut r),
+                Err(crate::snap::SnapError::Corrupt(_))
+            ));
+        }
+        // The per-sample minimum `snap_load` bounds counts with.
+        let mut empty = c.samples()[0].clone();
+        empty.tier_hit_ratios.clear();
+        empty.gauges.clear();
+        empty.hist_bins.clear();
+        let mut w = crate::snap::SnapWriter::new();
+        empty.snap_save(&mut w);
+        assert_eq!(w.len(), 100);
     }
 
     #[test]

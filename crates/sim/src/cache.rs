@@ -21,13 +21,6 @@ pub struct LlcStats {
 }
 
 impl LlcStats {
-    /// Accumulates `other` into `self` (used to fold per-lane LLC slices
-    /// into one machine-wide view).
-    pub fn absorb(&mut self, other: &LlcStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-    }
-
     /// Miss ratio in [0, 1]; zero when no accesses happened.
     pub fn miss_ratio(&self) -> f64 {
         let total = self.hits + self.misses;

@@ -14,7 +14,7 @@
 //! reproduces the paper's observation that HeMem's sampling thread hurts at
 //! 20 app threads but not at 16 (§6.2.9).
 
-use crate::access::{Access, AccessOutcome, AccessRecord, RecordFilter};
+use crate::access::{Access, AccessOutcome, AccessRecord};
 use crate::addr::{PageSize, TierId, VirtAddr, VirtPage, HUGE_PAGE_SIZE, NR_SUBPAGES};
 use crate::config::MachineConfig;
 use crate::engine::EngineEvent;
@@ -24,16 +24,13 @@ use crate::faults::{
 };
 use crate::machine::{BatchClock, BatchStop, Machine};
 use crate::policy::{abort_failure, CostAccounting, CostSink, PolicyOps, TieringPolicy};
-use crate::shard::{self, lane_of, LaneScratch, WorkerPool, NUM_LANES};
 use crate::stats::MachineStats;
-use crate::util::{tree_fold_f64, Fnv1a};
+use crate::util::Fnv1a;
 use memtis_obs::profile::{SpanGuard, SpanId, SpanStat};
 use memtis_obs::{
     Event, EventKind, FlightRecorder, HistStats, LatHist, NopObserver, Observer, ShootdownCause,
     SnapError, SnapReader, SnapWriter, WindowCollector, WindowCut, WindowSample,
 };
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// One event produced by a workload generator.
 #[derive(Debug, Clone, Copy)]
@@ -159,29 +156,11 @@ pub struct DriverConfig {
     /// legacy one-event-at-a-time loop (the bit-exactness oracle). Both
     /// paths produce byte-identical [`RunReport`]s.
     pub chunk: usize,
-    /// Sharded execution: `Some(s)` partitions the address space into
-    /// [`NUM_LANES`] fixed lanes and drives each chunked burst across `s`
-    /// worker threads (lanes are grouped into `s` contiguous shards), with a
-    /// deterministic merge at the end of every burst. Requires `chunk > 1`.
-    /// Reports, traces, and window series are byte-identical for every `s`
-    /// at a fixed `chunk`; `None` keeps the unsharded pipeline.
-    pub shards: Option<usize>,
     /// Heartbeat period in workload events: every this-many events the
     /// driver prints a compact one-line JSON status to *stderr* (stdout
     /// output and the report stay untouched), so hours-long soaks are
     /// inspectable mid-run. `None` disables.
     pub heartbeat_events: Option<u64>,
-    /// Worker-thread count for the persistent shard pool. `None` sizes it
-    /// from [`shard::auto_workers`] (available parallelism, capped at
-    /// `shards - 1`); `Some(0)` is valid and runs every chunk on the
-    /// coordinator. Host-side knob only: reports are byte-identical for
-    /// every value (excluded from the snapshot fingerprint).
-    pub pool_workers: Option<usize>,
-    /// Use the legacy per-burst scoped-spawn execution path instead of the
-    /// persistent pool. Kept as the simplest oracle for the pool's handoff
-    /// protocol; produces byte-identical output (excluded from the snapshot
-    /// fingerprint).
-    pub shard_scoped: bool,
 }
 
 impl Default for DriverConfig {
@@ -199,10 +178,7 @@ impl Default for DriverConfig {
             hysteresis: None,
             faults: None,
             chunk: DEFAULT_CHUNK,
-            shards: None,
             heartbeat_events: None,
-            pool_workers: None,
-            shard_scoped: false,
         }
     }
 }
@@ -269,7 +245,7 @@ pub struct RunReport {
     /// percentiles/counts per class (demand by tier/page-size, transfer,
     /// queue-wait, abort-to-retry). Empty unless the observer attached the
     /// flight recorder. Simulated-time quantities only, so the rows are
-    /// deterministic and chunk/shard-invariant.
+    /// deterministic and chunk-invariant.
     pub lat: Vec<(String, f64)>,
     /// Per-window flight-recorder summaries, parallel to `windows` (cut by
     /// differencing cumulative histogram snapshots). Empty unless the
@@ -319,75 +295,6 @@ struct WindowState {
     start_total_hits: u64,
 }
 
-/// Per-run sharded-execution state: the lane scratch pool plus cumulative
-/// barrier tallies. Lives outside `RunReport` so reports stay byte-identical
-/// across shard counts; the host-side scaling numbers surface through
-/// [`Simulation::shard_metrics`].
-struct ShardRun {
-    /// Lane-group count per burst (parallelism grain of the partition).
-    shards: usize,
-    /// The persistent worker pool bursts are dispatched through. `None`
-    /// selects the legacy scoped-spawn path (`DriverConfig::shard_scoped`).
-    pool: Option<WorkerPool>,
-    /// One scratch buffer per lane, reused across bursts.
-    lanes: Vec<LaneScratch>,
-    /// Tournament-merge heap, reused across bursts (zero steady-state
-    /// allocation alongside the lane scratch).
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
-    /// Parallel bursts merged so far.
-    bursts: u64,
-    /// Accesses that spilled from a stopped lane to the serial path.
-    spills: u64,
-    /// Host ns the coordinator spent inside the worker phase, summed over
-    /// bursts (on a saturated host this is the serialized lane work).
-    busy_ns: u64,
-    /// Accesses executed through the lane phase.
-    lane_accesses: u64,
-    /// Sum over bursts of the most-loaded shard's access count: the lane
-    /// phase's critical path in access units, deterministic per shard count.
-    crit_accesses: u64,
-}
-
-/// Host-side scaling metrics of a sharded run (see
-/// [`Simulation::shard_metrics`]). These are *host* timings — like
-/// [`RunReport::host_elapsed_ns`] they vary run to run and are kept out of
-/// the deterministic report.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardMetrics {
-    /// Worker-thread count the run was configured with.
-    pub shards: usize,
-    /// Parallel bursts merged.
-    pub bursts: u64,
-    /// Accesses that spilled from a stopped lane to the serial path.
-    pub spills: u64,
-    /// Host ns the coordinator spent inside the parallel worker phase,
-    /// summed over bursts. On a saturated (or single-core) host the scoped
-    /// workers serialize, so this is the total lane work plus spawn
-    /// overhead; per-worker clocks would mostly measure scheduler wait.
-    pub busy_ns: u64,
-    /// Accesses executed through the lane phase (spills excluded).
-    pub lane_accesses: u64,
-    /// Sum over bursts of the most-loaded shard's access count: the lane
-    /// phase's critical path in access units. Deterministic for a given
-    /// shard count — only the host timings above vary run to run.
-    pub crit_accesses: u64,
-}
-
-impl ShardMetrics {
-    /// Projects `host_ns` (a measured wall time for the whole run) onto a
-    /// host with one core per shard: the worker phase shrinks from its
-    /// serialized wall time to its critical-path share, everything else
-    /// (coordinator fold, ticks, policy work) stays serial. Amdahl-style,
-    /// using the observed per-shard access loads as the work model.
-    pub fn projected_ns(&self, host_ns: f64) -> f64 {
-        if self.lane_accesses == 0 {
-            return host_ns;
-        }
-        let crit_frac = self.crit_accesses as f64 / self.lane_accesses as f64;
-        host_ns - self.busy_ns as f64 * (1.0 - crit_frac)
-    }
-}
-
 /// The simulation: one machine, one policy, one workload stream.
 ///
 /// Generic over an [`Observer`]; the default [`NopObserver`] compiles the
@@ -415,8 +322,6 @@ pub struct Simulation<P: TieringPolicy, O: Observer = NopObserver> {
     has_faults: bool,
     /// Policy-reported histogram underflows already surfaced as events.
     hist_underflows_seen: u64,
-    /// Sharded-execution state (`None` on unsharded runs).
-    shard: Option<ShardRun>,
     /// Flight-recorder snapshot at the last window cut, for differencing
     /// cumulative histograms into per-window series.
     flight_prev: FlightRecorder,
@@ -568,32 +473,6 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             _ => None,
         };
         let has_faults = drv_faults.is_some();
-        let shard = match cfg.shards {
-            Some(s) if cfg.chunk > 1 => {
-                machine.enable_lanes();
-                let shards = s.max(1);
-                let pool = if cfg.shard_scoped {
-                    None
-                } else {
-                    let workers = cfg
-                        .pool_workers
-                        .unwrap_or_else(|| shard::auto_workers(shards));
-                    Some(WorkerPool::new(workers))
-                };
-                Some(ShardRun {
-                    shards,
-                    pool,
-                    lanes: (0..NUM_LANES).map(|_| LaneScratch::default()).collect(),
-                    heap: BinaryHeap::new(),
-                    bursts: 0,
-                    spills: 0,
-                    busy_ns: 0,
-                    lane_accesses: 0,
-                    crit_accesses: 0,
-                })
-            }
-            _ => None,
-        };
         if obs.enabled() && obs.flight_enabled() {
             machine.attach_flight();
         }
@@ -626,7 +505,6 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             drv_faults,
             has_faults,
             hist_underflows_seen: 0,
-            shard,
             flight_prev: FlightRecorder::new(),
             lat_windows: Vec::new(),
             hb_every,
@@ -1102,20 +980,6 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     fn cut_telemetry_window(&mut self) {
         let _span = Self::span(&self.obs, SpanId::WindowCut);
         self.note_hist_underflows();
-        // Epoch-barrier telemetry: cumulative burst/spill tallies at the
-        // cut. Both values are shard-count-invariant, so traces stay
-        // byte-identical across `--shards` values.
-        if let Some(sh) = &self.shard {
-            if self.obs.enabled() {
-                self.obs.record(Event::new(
-                    self.wall_ns,
-                    EventKind::ShardBarrier {
-                        bursts: sh.bursts,
-                        spills: sh.spills,
-                    },
-                ));
-            }
-        }
         let mut gauges = Vec::new();
         self.policy.timeline(&mut gauges);
         let mut hist_bins = Vec::new();
@@ -1260,9 +1124,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         let mut buf = vec![WorkloadEvent::Access(Access::load(0)); chunk];
         let mut records: Vec<AccessRecord> = Vec::with_capacity(chunk);
         // Shadow mode mutates the shadow map from store paths, so its runs
-        // stay strictly per-event (stream-ordered): no deferred batches and
-        // no sharded bursts, making serial and `--shards N` byte-identical
-        // by construction.
+        // stay strictly per-event (stream-ordered): no deferred batches.
         let defer = self.machine.config().migration.bandwidth_limit.is_none()
             && !self.has_faults
             && !self.machine.config().migration.shadow
@@ -1314,15 +1176,6 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                     limit = limit.min(max.saturating_sub(self.accesses).max(1));
                 }
                 debug_assert!(limit >= 1, "burst sizing must always make progress");
-                if self.shard.is_some() {
-                    let (consumed, stop) =
-                        self.run_sharded_burst(&buf[i..i + limit as usize], &mut records, filter)?;
-                    i += consumed;
-                    if stop {
-                        halt = true;
-                    }
-                    continue;
-                }
                 let mut clock = BatchClock {
                     wall_ns: self.wall_ns,
                     app_access_ns: self.app_access_ns,
@@ -1412,295 +1265,6 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             }
         }
         Ok(())
-    }
-
-    /// Executes one sharded burst: the Access-only prefix of `events` runs
-    /// through the lane executors — dispatched to the persistent
-    /// [`WorkerPool`] (or [`shard::run_burst`]'s scoped spawns under
-    /// `shard_scoped`) — then the coordinator commits the results
-    /// deterministically. Returns `(events consumed, stop)`.
-    ///
-    /// Determinism across shard counts rests on the lanes being pure
-    /// functions of the burst-start machine snapshot (see [`crate::shard`]):
-    ///
-    /// 1. **Partition** — accesses are distributed to their lanes in stream
-    ///    order (lane order within a lane equals stream order), tagged with
-    ///    their stream index and a pre-rolled flight-recorder sampling
-    ///    decision ([`Machine::flight_preroll`] keeps the demand-tap
-    ///    schedule a pure function of stream position).
-    /// 2. **Parallel execute** — lanes run against `&PageTable` read-only;
-    ///    reference-bit updates, bookkeeping partials ([`shard::LaneFold`]),
-    ///    and kept-record indices are buffered per lane.
-    /// 3. **Commit** — deferred reference bits are OR-folded into the page
-    ///    table in fixed lane order. A **clean** burst (every lane ran to
-    ///    completion — the steady state) commits entirely from per-lane
-    ///    partials: counter folds merge in lane order (order-free), kept
-    ///    records rebuild stream order through a tournament merge
-    ///    ([`shard::merge_records`]), and the clock advances once by the
-    ///    fixed-shape [`tree_fold_f64`] of the 64 lane latency sums. Every
-    ///    ingredient is lane-indexed, so the commit is shard-count-invariant
-    ///    by construction and does no per-access coordinator work.
-    ///    A burst where any lane stopped early (unmapped page or armed
-    ///    hint) falls back to the per-access stream-order fold, spilling
-    ///    stopped-lane accesses to the serial [`Simulation::handle_access`]
-    ///    path after flushing pending deliveries; which path a burst takes
-    ///    depends only on lane contents, never the shard count.
-    ///
-    /// Two documented in-burst deviations from the per-access fold (both
-    /// invariant across shard counts, the determinism claim): clean-path
-    /// records are stamped with the burst-*start* wall clock rather than the
-    /// evolving mid-burst one (the policy sees them at the burst barrier
-    /// either way), and an access that spills re-rolls its flight-recorder
-    /// sampling decision inside [`Machine::access`] after the partition
-    /// already consumed its pre-rolled slot.
-    fn run_sharded_burst(
-        &mut self,
-        events: &[WorkloadEvent],
-        records: &mut Vec<AccessRecord>,
-        filter: RecordFilter,
-    ) -> SimResult<(usize, bool)> {
-        let mut sh = self
-            .shard
-            .take()
-            .expect("sharded burst without shard state");
-        let m = events
-            .iter()
-            .position(|ev| !matches!(ev, WorkloadEvent::Access(_)))
-            .unwrap_or(events.len());
-        debug_assert!(m >= 1, "sharded burst must start with an access");
-        for sc in sh.lanes.iter_mut() {
-            sc.reset();
-        }
-        for (idx, ev) in events[..m].iter().enumerate() {
-            let WorkloadEvent::Access(a) = *ev else {
-                unreachable!("non-access event inside the access prefix");
-            };
-            let sampled = self.machine.flight_preroll();
-            sh.lanes[lane_of(a.vaddr.base_page())].push(a, idx as u32, sampled);
-        }
-        let phase_start = std::time::Instant::now();
-        let timing = {
-            let _span = Self::span(&self.obs, SpanId::ShardBarrier);
-            match &sh.pool {
-                Some(pool) => {
-                    Some(pool.run_burst(&mut self.machine, &mut sh.lanes, sh.shards, filter))
-                }
-                None => {
-                    shard::run_burst(&mut self.machine, &mut sh.lanes, sh.shards, filter);
-                    None
-                }
-            }
-        };
-        let phase_ns = phase_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        if let (Some(t), Some(p)) = (timing, self.obs.profiler()) {
-            p.record(SpanId::PoolHandoff, t.handoff_ns);
-            p.record(SpanId::PoolIdle, t.idle_ns);
-        }
-        shard::apply_deferred_bits(&mut self.machine, &mut sh.lanes);
-        // Per-shard load split (deterministic, matching the executors'
-        // contiguous lane grouping) for the Amdahl projection in
-        // [`ShardMetrics::projected_ns`].
-        let per = NUM_LANES.div_ceil(sh.shards.max(1));
-        let (mut burst_load, mut burst_crit) = (0u64, 0u64);
-        for group in sh.lanes.chunks(per) {
-            let load: u64 = group.iter().map(|sc| sc.outcome_count() as u64).sum();
-            burst_load += load;
-            burst_crit = burst_crit.max(load);
-        }
-
-        records.clear();
-        let fold_span = Self::span(&self.obs, SpanId::ShardFold);
-        let threads = self.threads();
-        let clean = sh
-            .lanes
-            .iter()
-            .all(|sc| sc.outcome_count() == sc.access_count());
-        if clean {
-            // Parallel-fold commit: every per-access ingredient was
-            // accumulated inside the lanes; merge the partials.
-            let mut lat = [0f64; NUM_LANES];
-            for (i, sc) in sh.lanes.iter().enumerate() {
-                let f = sc.fold();
-                self.machine.stats.loads += f.loads;
-                self.machine.stats.stores += f.stores;
-                for (t, &n) in f.tier_hits.iter().enumerate() {
-                    // Zero counts never resize, so the tier vector's final
-                    // length matches per-access counting.
-                    self.machine.stats.count_tier_hits_bulk(t, n);
-                }
-                lat[i] = f.lat_sum;
-            }
-            for sc in sh.lanes.iter() {
-                for &k in sc.sampled() {
-                    let o = sc.outcome(k as usize);
-                    self.machine
-                        .flight_insert_sample(o.tier, o.page_size, o.latency_ns);
-                }
-            }
-            if self.machine.fold_wants_access_notes() {
-                // Admission demand counters are commutative (saturating
-                // adds), so lane-order replay equals stream-order replay.
-                for sc in sh.lanes.iter() {
-                    for k in 0..sc.outcome_count() {
-                        let o = sc.outcome(k);
-                        self.machine.mode_note_folded(
-                            o.vpage,
-                            o.page_size,
-                            sc.access(k).is_store(),
-                        );
-                    }
-                }
-            }
-            shard::merge_records(&sh.lanes, self.wall_ns, &mut sh.heap, records);
-            let total = tree_fold_f64(&lat);
-            self.app_access_ns += total;
-            self.wall_ns += total / threads;
-            self.accesses += m as u64;
-            self.sim_events += m as u64;
-            self.flush_record_batch(records);
-        } else {
-            // Spill fold: per-access stream-order replay via lane cursors,
-            // exactly as a single-threaded run would advance.
-            let mut cursors = [0usize; NUM_LANES];
-            let mut sampled_at = [0usize; NUM_LANES];
-            for ev in &events[..m] {
-                let WorkloadEvent::Access(access) = *ev else {
-                    unreachable!("non-access event inside the access prefix");
-                };
-                let lane = lane_of(access.vaddr.base_page());
-                let c = cursors[lane];
-                cursors[lane] += 1;
-                // The pre-rolled sampling decision for this position; it
-                // must be consumed (cursor advanced) even when the access
-                // spills, to keep later positions aligned.
-                let sampled_here = {
-                    let s = sh.lanes[lane].sampled();
-                    let p = sampled_at[lane];
-                    if p < s.len() && s[p] as usize == c {
-                        sampled_at[lane] += 1;
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if c < sh.lanes[lane].outcome_count() {
-                    let outcome = sh.lanes[lane].outcome(c);
-                    if filter.keeps(access.kind, outcome.llc_miss) {
-                        records.push(AccessRecord {
-                            access,
-                            outcome,
-                            now_ns: self.wall_ns,
-                        });
-                    }
-                    if outcome.llc_miss {
-                        self.machine.stats.count_tier_hit(outcome.tier);
-                    }
-                    if access.is_store() {
-                        self.machine.stats.stores += 1;
-                    } else {
-                        self.machine.stats.loads += 1;
-                    }
-                    // Lane outcomes bypass `Machine::access`, so the fold
-                    // is the engine-mode and flight-recorder tap for them
-                    // (spills below record through the serial path).
-                    self.machine.mode_note_folded(
-                        outcome.vpage,
-                        outcome.page_size,
-                        access.is_store(),
-                    );
-                    if sampled_here {
-                        self.machine.flight_insert_sample(
-                            outcome.tier,
-                            outcome.page_size,
-                            outcome.latency_ns,
-                        );
-                    }
-                    self.app_access_ns += outcome.latency_ns;
-                    self.wall_ns += outcome.latency_ns / threads;
-                    self.accesses += 1;
-                    self.sim_events += 1;
-                } else {
-                    // The lane stopped before this access (unmapped page or
-                    // armed hint): flush pending policy deliveries so stream
-                    // order holds, then replay serially.
-                    sh.spills += 1;
-                    self.flush_record_batch(records);
-                    self.sim_events += 1;
-                    self.handle_access(access)?;
-                }
-            }
-            self.flush_record_batch(records);
-        }
-        drop(fold_span);
-        sh.bursts += 1;
-        sh.busy_ns += phase_ns;
-        sh.lane_accesses += burst_load;
-        sh.crit_accesses += burst_crit;
-        self.shard = Some(sh);
-        let stop = self.post_event_checks();
-        Ok((m, stop))
-    }
-
-    /// Delivers the pending record batch to the policy (daemon context) and
-    /// clears it. No-op on an empty batch.
-    fn flush_record_batch(&mut self, records: &mut Vec<AccessRecord>) {
-        if records.is_empty() {
-            return;
-        }
-        let _span = Self::span(&self.obs, SpanId::SamplingDrain);
-        let mut ops = Self::ops(
-            &mut self.machine,
-            &mut self.acct,
-            &mut self.obs,
-            CostSink::Daemon,
-            self.wall_ns,
-        );
-        self.policy.on_access_batch(&mut ops, records);
-        records.clear();
-    }
-
-    /// Host-side scaling metrics of the sharded pipeline, or `None` on an
-    /// unsharded run. Host timings, not simulated time: use these to gauge
-    /// parallel speedup without perturbing the deterministic report.
-    pub fn shard_metrics(&self) -> Option<ShardMetrics> {
-        self.shard.as_ref().map(|sh| ShardMetrics {
-            shards: sh.shards,
-            bursts: sh.bursts,
-            spills: sh.spills,
-            busy_ns: sh.busy_ns,
-            lane_accesses: sh.lane_accesses,
-            crit_accesses: sh.crit_accesses,
-        })
-    }
-
-    /// Detaches the persistent worker pool from a sharded run, if it has
-    /// one. The simulation keeps working — subsequent bursts fall back to
-    /// the scoped-spawn path — so this is meant for warm restart: take the
-    /// pool from a retiring simulation and [`Simulation::install_shard_pool`]
-    /// it into its replacement, skipping thread teardown and respawn.
-    /// Host-side only; outputs are identical either way.
-    pub fn take_shard_pool(&mut self) -> Option<WorkerPool> {
-        self.shard.as_mut().and_then(|sh| sh.pool.take())
-    }
-
-    /// Adopts `pool` for this run's sharded bursts, returning the pool it
-    /// displaced — or `pool` itself when the run isn't sharded (so the
-    /// caller decides whether to keep it warm or let it join).
-    pub fn install_shard_pool(&mut self, pool: WorkerPool) -> Option<WorkerPool> {
-        match self.shard.as_mut() {
-            Some(sh) => sh.pool.replace(pool),
-            None => Some(pool),
-        }
-    }
-
-    /// Opaque identity of the attached worker pool (see
-    /// [`WorkerPool::debug_id`]), or `None` when unsharded, scoped, or
-    /// detached. Lets tests assert a warm restart reused the pool.
-    pub fn shard_pool_id(&self) -> Option<usize> {
-        self.shard
-            .as_ref()
-            .and_then(|sh| sh.pool.as_ref())
-            .map(|p| p.debug_id())
     }
 
     /// Runs the workload to completion (or `max_accesses`) and reports.
@@ -1835,14 +1399,8 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     /// rides in the `Debug` renders, so a snapshot only restores into a
     /// simulation built from the identical configs.
     fn config_fingerprint(&self) -> u64 {
-        // Host-side execution knobs don't shape the output, so a checkpoint
-        // written by a pooled run restores into a scoped (or differently
-        // sized) one — normalize them out of the fingerprint.
-        let mut cfg = self.cfg.clone();
-        cfg.pool_workers = None;
-        cfg.shard_scoped = false;
         Fnv1a::new()
-            .mix_str(&format!("{cfg:?}"))
+            .mix_str(&format!("{:?}", self.cfg))
             .mix_str(&format!("{:?}", self.machine.config()))
             .finish()
     }
@@ -1899,18 +1457,6 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
             Some(inj) => {
                 w.bool(true);
                 inj.snap_save(w);
-            }
-            None => w.bool(false),
-        });
-        w.section(|w| match &self.shard {
-            Some(sh) => {
-                // Burst/spill tallies feed ShardBarrier trace events and
-                // must survive; the host-side timings reset to zero.
-                w.bool(true);
-                w.u64(sh.bursts);
-                w.u64(sh.spills);
-                w.u64(sh.lane_accesses);
-                w.u64(sh.crit_accesses);
             }
             None => w.bool(false),
         });
@@ -1978,7 +1524,8 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         }
         {
             let mut s = r.section()?;
-            let n = s.u32()? as usize;
+            // Each snapshot row is six 8-byte fields plus its gauge count.
+            let n = s.count(52)?;
             let mut timeline = Vec::with_capacity(n);
             for _ in 0..n {
                 let wall_ns = s.f64()?;
@@ -1987,7 +1534,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                 let window_fast_hit_ratio = s.f64()?;
                 let rss_bytes = s.u64()?;
                 let fast_used_bytes = s.u64()?;
-                let np = s.u32()? as usize;
+                let np = s.count(12)?;
                 let mut policy = Vec::with_capacity(np);
                 for _ in 0..np {
                     let k = s.static_str()?;
@@ -2023,27 +1570,11 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         }
         {
             let mut s = r.section()?;
-            let has = s.bool()?;
-            match (&mut self.shard, has) {
-                (Some(sh), true) => {
-                    sh.bursts = s.u64()?;
-                    sh.spills = s.u64()?;
-                    sh.lane_accesses = s.u64()?;
-                    sh.crit_accesses = s.u64()?;
-                    sh.busy_ns = 0;
-                }
-                (None, false) => {}
-                _ => return Err(SnapError::Corrupt("shard state presence").into()),
-            }
-            s.expect_end()?;
-        }
-        {
-            let mut s = r.section()?;
             self.flight_prev = FlightRecorder::snap_load(&mut s)?;
-            let n = s.u32()? as usize;
+            let n = s.count(4)?;
             let mut lat_windows = Vec::with_capacity(n);
             for _ in 0..n {
-                let nk = s.u32()? as usize;
+                let nk = s.count(12)?;
                 let mut win = Vec::with_capacity(nk);
                 for _ in 0..nk {
                     let k = s.str()?.to_string();
@@ -2456,62 +1987,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_is_shard_count_invariant() {
-        // `--shards N` must reproduce `--shards 1` byte-for-byte at the same
-        // chunk: the lanes are the unit of determinism, shards are only a
-        // thread grouping over them.
-        let run = |chunk: usize, shards: usize| {
-            let mut wl = Script::new(mixed_events(6_000));
-            let mut sim = Simulation::new(
-                cfg(),
-                ArmHints { next: 5 },
-                DriverConfig {
-                    tick_interval_ns: 5_000.0,
-                    timeline_interval_ns: 20_000.0,
-                    window_events: 37,
-                    max_accesses: Some(5_500),
-                    chunk,
-                    shards: Some(shards),
-                    ..Default::default()
-                },
-            );
-            let sig = report_sig(sim.run(&mut wl).unwrap());
-            let metrics = sim.shard_metrics().expect("sharded run has metrics");
-            assert!(metrics.bursts > 0, "sharded path never engaged");
-            sig
-        };
-        for chunk in [7, 64, DEFAULT_CHUNK] {
-            let serial = run(chunk, 1);
-            for shards in [2, 3, 8] {
-                assert_eq!(
-                    serial,
-                    run(chunk, shards),
-                    "chunk {chunk} shards {shards} diverged from shards 1"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_run_matches_unsharded_when_serial_semantics_apply() {
-        // With chunk 1 the shards knob is ignored outright (per-event loop).
-        let run = |shards: Option<usize>| {
-            let mut wl = Script::new(mixed_events(3_000));
-            let mut sim = Simulation::new(
-                cfg(),
-                NoopPolicy,
-                DriverConfig {
-                    chunk: 1,
-                    shards,
-                    ..Default::default()
-                },
-            );
-            report_sig(sim.run(&mut wl).unwrap())
-        };
-        assert_eq!(run(None), run(Some(4)));
-    }
-
-    #[test]
     fn default_fill_matches_next_event() {
         let evs = mixed_events(100);
         let mut bulk = Script::new(evs.clone());
@@ -2568,16 +2043,13 @@ mod tests {
 
     #[test]
     fn snapshot_restore_resumes_byte_identically() {
-        // Sharded + batched: the hardest boundary case, since burst
-        // boundaries (and the ShardBarrier tallies they feed) must line up
-        // across the interruption.
+        // Batched: burst boundaries must line up across the interruption.
         let dcfg = || DriverConfig {
             tick_interval_ns: 5_000.0,
             timeline_interval_ns: 20_000.0,
             window_events: 37,
             max_accesses: Some(5_500),
             chunk: DEFAULT_CHUNK,
-            shards: Some(3),
             ..Default::default()
         };
         let full = report_sig(
@@ -2647,6 +2119,30 @@ mod tests {
         assert!(matches!(other.restore(&bytes), Err(SimError::Snapshot(_))));
         let mut same = Simulation::new(cfg(), NoopPolicy, DriverConfig::default());
         same.restore(&bytes).unwrap();
+    }
+
+    #[test]
+    fn restore_rejects_oversized_count_prefix() {
+        let mut wl = Script::new(mixed_events(2_000));
+        let dcfg = || DriverConfig {
+            timeline_interval_ns: 1_000.0,
+            ..Default::default()
+        };
+        let mut sim = Simulation::new(cfg(), NoopPolicy, dcfg());
+        assert!(sim.run_until(&mut wl, Some(1_500)).unwrap().is_none());
+        let mut bytes = sim.snapshot();
+        // Header (magic + version), config fingerprint, then the cursor
+        // section; the timeline section opens with its row count.
+        let cursors = 12 + 8;
+        let len = u32::from_le_bytes(bytes[cursors..cursors + 4].try_into().unwrap()) as usize;
+        let count_at = cursors + 4 + len + 4;
+        assert_ne!(&bytes[count_at..count_at + 4], &[0; 4], "timeline is empty");
+        bytes[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut fresh = Simulation::new(cfg(), NoopPolicy, dcfg());
+        match fresh.restore(&bytes) {
+            Err(SimError::Snapshot(msg)) => assert!(msg.contains("count"), "{msg}"),
+            other => panic!("expected a corrupt-count error, got {other:?}"),
+        }
     }
 
     #[test]

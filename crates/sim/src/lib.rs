@@ -40,7 +40,6 @@ pub mod machine;
 pub mod modes;
 pub mod page_table;
 pub mod policy;
-pub mod shard;
 pub mod stats;
 pub mod tier;
 pub mod tlb;
@@ -58,8 +57,7 @@ pub mod prelude {
         TierSpec, TlbSpec,
     };
     pub use crate::driver::{
-        AccessStream, DriverConfig, RunReport, ShardMetrics, Simulation, Snapshot, WorkloadEvent,
-        DEFAULT_CHUNK,
+        AccessStream, DriverConfig, RunReport, Simulation, Snapshot, WorkloadEvent, DEFAULT_CHUNK,
     };
     pub use crate::engine::{AbortCause, EngineEvent, MigrationHandle, TransferEnd, TransferId};
     pub use crate::error::{SimError, SimResult};
@@ -71,7 +69,6 @@ pub mod prelude {
     pub use crate::policy::{
         CostAccounting, CostSink, NoopPolicy, PolicyDescriptor, PolicyOps, TieringPolicy,
     };
-    pub use crate::shard::{lane_of, LaneState, NUM_LANES};
     pub use crate::stats::{MachineStats, MigrationStats};
     pub use crate::util::{DetHashMap, DetHashSet, Fnv1a, FNV1A_BASIS, FNV1A_PRIME};
     pub use memtis_obs::{

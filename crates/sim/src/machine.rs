@@ -127,16 +127,11 @@ impl CoalesceCache {
 /// The simulated machine.
 #[derive(Debug)]
 pub struct Machine {
-    pub(crate) cfg: MachineConfig,
-    pub(crate) tiers: Vec<TierAllocator>,
-    pub(crate) pt: PageTable,
+    cfg: MachineConfig,
+    tiers: Vec<TierAllocator>,
+    pt: PageTable,
     tlb: Tlb,
     llc: Llc,
-    /// Per-lane TLB/LLC slices; `Some` iff sharded lane routing is enabled
-    /// (see [`Machine::enable_lanes`]). While enabled, every access routes
-    /// its TLB and LLC traffic through the lane owning its 2 MiB region and
-    /// the monolithic `tlb`/`llc` above sit idle.
-    pub(crate) lanes: Option<Vec<crate::shard::LaneState>>,
     engine: MigrationEngine,
     /// Installed fault injector (chaos runs only; `None` on normal runs).
     faults: Option<FaultInjector>,
@@ -158,34 +153,6 @@ pub struct Machine {
     pub stats: MachineStats,
 }
 
-/// Routes to the TLB owning `vpage`: the lane slice when lanes are enabled,
-/// the monolithic TLB otherwise. A free function over disjoint `Machine`
-/// fields so callers can keep `cfg`/`stats`/`tiers` borrowed alongside.
-#[inline]
-fn route_tlb<'a>(
-    lanes: &'a mut Option<Vec<crate::shard::LaneState>>,
-    tlb: &'a mut Tlb,
-    vpage: VirtPage,
-) -> &'a mut Tlb {
-    match lanes {
-        Some(ls) => &mut ls[crate::shard::lane_of(vpage)].tlb,
-        None => tlb,
-    }
-}
-
-/// Routes to the LLC owning `vpage` (see [`route_tlb`]).
-#[inline]
-fn route_llc<'a>(
-    lanes: &'a mut Option<Vec<crate::shard::LaneState>>,
-    llc: &'a mut Llc,
-    vpage: VirtPage,
-) -> &'a mut Llc {
-    match lanes {
-        Some(ls) => &mut ls[crate::shard::lane_of(vpage)].llc,
-        None => llc,
-    }
-}
-
 /// Mean inter-sample gap of the flight recorder's demand-latency tap.
 ///
 /// Recording every access costs ~6-8% of the hot loop (the histogram index
@@ -197,8 +164,7 @@ fn route_llc<'a>(
 /// per ~16.5 accesses on average. Subsampling error on the reported
 /// percentiles is negligible at bench scale (thousands of samples per
 /// telemetry window), and the gap schedule depends only on access stream
-/// order, so sharded, chunked, and serial-fold runs record byte-identical
-/// histograms. Migration-side histograms (transfer, queue-wait,
+/// order, so chunked and per-event runs record byte-identical histograms. Migration-side histograms (transfer, queue-wait,
 /// abort-to-retry) stay exact: those events are orders of magnitude rarer.
 pub const FLIGHT_DEMAND_SAMPLE_MEAN: u64 = 16;
 
@@ -233,7 +199,6 @@ impl Machine {
             flight: None,
             flight_skip: u64::MAX,
             flight_rng: FLIGHT_RNG_SEED,
-            lanes: None,
             modes,
             cfg,
         };
@@ -267,10 +232,9 @@ impl Machine {
 
     /// Feeds one demand access to the flight recorder through the
     /// deterministic skip-sampler (see [`FLIGHT_DEMAND_SAMPLE_MEAN`]).
-    /// Called from the serial and coalesced access paths and from the
-    /// sharded coordinator fold — always in stream order, so every
-    /// execution mode (chunk size, shard count) draws the identical sample
-    /// schedule and records byte-identical histograms.
+    /// Called from the serial and coalesced access paths — always in stream
+    /// order, so every chunk size draws the identical sample schedule and
+    /// records byte-identical histograms.
     /// The skip counter doubles as the attached/detached gate: it holds
     /// `u64::MAX` while no recorder is attached (the untraced tap is one
     /// predictable decrement-and-branch), and [`Machine::attach_flight`]
@@ -284,50 +248,6 @@ impl Machine {
             return;
         }
         self.flight_demand_sample(tier, size, latency_ns);
-    }
-
-    /// Pre-rolls one stream position of the demand-tap skip schedule
-    /// without recording: the skip/rng state advances exactly as
-    /// [`Machine::flight_record_demand`] would have advanced it, and the
-    /// return value says whether this position is a sample. The sharded
-    /// coordinator rolls the schedule during partitioning (stream order),
-    /// tags each lane's accesses with the decisions, and inserts the
-    /// sampled latencies at the barrier via
-    /// [`Machine::flight_insert_sample`] — so the schedule stays a pure
-    /// function of stream position, independent of the shard count.
-    #[inline]
-    pub(crate) fn flight_preroll(&mut self) -> bool {
-        if self.flight_skip > 0 {
-            self.flight_skip -= 1;
-            return false;
-        }
-        let mut x = self.flight_rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.flight_rng = x;
-        self.flight_skip = x % (2 * FLIGHT_DEMAND_SAMPLE_MEAN);
-        self.flight.is_some()
-    }
-
-    /// Inserts one pre-rolled demand sample (see
-    /// [`Machine::flight_preroll`]) into the flight recorder. Histogram
-    /// cells are pure counts, so insertion order across a burst is
-    /// immaterial; only the pre-rolled *schedule* carries ordering.
-    #[inline]
-    pub(crate) fn flight_insert_sample(&mut self, tier: TierId, size: PageSize, latency_ns: f64) {
-        if let Some(f) = self.flight.as_mut() {
-            f.record_demand(tier.0, size == PageSize::Huge, latency_ns);
-        }
-    }
-
-    /// Whether the sharded fold must replay per-access engine-mode notes at
-    /// all. Only admission control has an access hook that can be live
-    /// under sharding (shadow mode disables sharded bursts), so when it is
-    /// off the fold skips the replay loop entirely.
-    #[inline]
-    pub(crate) fn fold_wants_access_notes(&self) -> bool {
-        self.modes.as_ref().is_some_and(|m| m.admission.is_some())
     }
 
     /// Cold half of the demand tap: one call per ~16 accesses records the
@@ -368,15 +288,6 @@ impl Machine {
             };
             self.shadow_invalidate(key);
         }
-    }
-
-    /// [`Machine::mode_note_demand`] for the sharded coordinator fold,
-    /// which replays lane outcomes in stream order (the lanes themselves
-    /// never touch machine-global state). Shadow mode disables sharded
-    /// bursts entirely, so only the admission counters ever tick here.
-    #[inline]
-    pub(crate) fn mode_note_folded(&mut self, vpage: VirtPage, size: PageSize, is_store: bool) {
-        self.mode_note_demand(vpage, size, is_store);
     }
 
     /// Frees the retained shadow of `key` (if any), counts the reclaim, and
@@ -492,23 +403,6 @@ impl Machine {
             .map_or(0.0, |h| h.last_backoff_until_ns)
     }
 
-    /// Switches the machine to per-lane TLB/LLC routing: the configured TLB
-    /// entry counts and LLC capacity are divided across
-    /// [`crate::shard::NUM_LANES`] lanes keyed by 2 MiB region, so each
-    /// lane's microarchitectural state depends only on its own access
-    /// subsequence — the property that makes sharded runs independent of
-    /// the shard count. Must be called before any access; idempotent.
-    pub fn enable_lanes(&mut self) {
-        if self.lanes.is_none() {
-            self.lanes = Some(crate::shard::build_lanes(&self.cfg));
-        }
-    }
-
-    /// Whether per-lane routing is enabled.
-    pub fn lanes_enabled(&self) -> bool {
-        self.lanes.is_some()
-    }
-
     /// Installs the machine-level faults of `plan` (forced aborts, injected
     /// dirty stores, link outages, pressure spikes). Inert plans install
     /// nothing, so zero-fault runs stay bit-exact with no-plan runs.
@@ -611,26 +505,14 @@ impl Machine {
         self.pt.huge_entry(vpage)
     }
 
-    /// TLB statistics (folded across lane slices when lanes are enabled).
+    /// TLB statistics.
     pub fn tlb_stats(&self) -> crate::tlb::TlbStats {
-        let mut s = self.tlb.stats;
-        if let Some(lanes) = &self.lanes {
-            for l in lanes {
-                s.absorb(&l.tlb.stats);
-            }
-        }
-        s
+        self.tlb.stats
     }
 
-    /// LLC statistics (folded across lane slices when lanes are enabled).
+    /// LLC statistics.
     pub fn llc_stats(&self) -> crate::cache::LlcStats {
-        let mut s = self.llc.stats;
-        if let Some(lanes) = &self.lanes {
-            for l in lanes {
-                s.absorb(&l.llc.stats);
-            }
-        }
-        s
+        self.llc.stats
     }
 
     /// Allocates a frame on `tier` and maps `vpage` to it.
@@ -686,7 +568,7 @@ impl Machine {
                 self.tiers[tier.0 as usize].free_huge(h.frame);
             }
         }
-        route_tlb(&mut self.lanes, &mut self.tlb, vpage).invalidate(vpage, size);
+        self.tlb.invalidate(vpage, size);
         self.stats.shootdowns += 1;
         Ok(self.cfg.costs.tlb_shootdown_ns)
     }
@@ -786,7 +668,7 @@ impl Machine {
         }
 
         // Address translation.
-        let tlb = route_tlb(&mut self.lanes, &mut self.tlb, vpage);
+        let tlb = &mut self.tlb;
         let tlb_hit = tlb.lookup(vpage, size);
         if !tlb_hit {
             latency += size.walk_levels() as f64 * self.cfg.costs.walk_level_ns;
@@ -796,7 +678,7 @@ impl Machine {
         // Cache and memory.
         let paddr = crate::addr::PhysAddr(frame.addr().0 + access.vaddr.base_offset());
         let tier = self.tier_of_frame(frame);
-        let llc_hit = route_llc(&mut self.lanes, &mut self.llc, vpage).access(paddr);
+        let llc_hit = self.llc.access(paddr);
         if llc_hit {
             latency += self.cfg.costs.llc_hit_ns;
         } else {
@@ -972,7 +854,7 @@ impl Machine {
                 // insert/invalidate/flush has moved entries since (epoch
                 // check).
                 let mut latency = 0.0;
-                let tlb = route_tlb(&mut self.lanes, &mut self.tlb, vpage);
+                let tlb = &mut self.tlb;
                 let tlb_hit = match memo.tlb_way {
                     Some((way, epoch)) if epoch == tlb.epoch() => {
                         tlb.touch_hit(size, way);
@@ -989,7 +871,7 @@ impl Machine {
                     tlb.insert(vpage, size);
                 }
                 let paddr = crate::addr::PhysAddr(frame.addr().0 + access.vaddr.base_offset());
-                let llc_hit = route_llc(&mut self.lanes, &mut self.llc, vpage).access(paddr);
+                let llc_hit = self.llc.access(paddr);
                 if llc_hit {
                     latency += self.cfg.costs.llc_hit_ns;
                 } else {
@@ -1065,7 +947,7 @@ impl Machine {
         }
 
         // Address translation.
-        let tlb = route_tlb(&mut self.lanes, &mut self.tlb, vpage);
+        let tlb = &mut self.tlb;
         let tlb_hit = tlb.lookup(vpage, tr.size);
         if !tlb_hit {
             latency += tr.size.walk_levels() as f64 * self.cfg.costs.walk_level_ns;
@@ -1104,7 +986,7 @@ impl Machine {
         // Cache and memory.
         let paddr = crate::addr::PhysAddr(tr.frame.addr().0 + access.vaddr.base_offset());
         let tier = self.tier_of_frame(tr.frame);
-        let llc_hit = route_llc(&mut self.lanes, &mut self.llc, vpage).access(paddr);
+        let llc_hit = self.llc.access(paddr);
         if llc_hit {
             latency += self.cfg.costs.llc_hit_ns;
         } else {
@@ -1173,7 +1055,7 @@ impl Machine {
             None => unreachable!(),
         };
         self.mode_retain_or_free(vpage, old_frame, src, dst, tr.size);
-        route_tlb(&mut self.lanes, &mut self.tlb, vpage).invalidate(vpage, tr.size);
+        self.tlb.invalidate(vpage, tr.size);
         self.stats.shootdowns += 1;
 
         let bytes = tr.size.bytes();
@@ -1212,7 +1094,7 @@ impl Machine {
         }
         let tier = self.tier_of_frame(old.frame);
         self.tiers[tier.0 as usize].split_used_huge(old.frame);
-        route_tlb(&mut self.lanes, &mut self.tlb, vpage).invalidate(vpage, PageSize::Huge);
+        self.tlb.invalidate(vpage, PageSize::Huge);
         self.stats.shootdowns += 1;
         self.stats.migration.splits += 1;
 
@@ -1280,7 +1162,7 @@ impl Machine {
                 self.shadow_invalidate(k);
             }
         }
-        route_tlb(&mut self.lanes, &mut self.tlb, vpage).invalidate(vpage, PageSize::Base);
+        self.tlb.invalidate(vpage, PageSize::Base);
         self.stats.shootdowns += 1;
         self.stats.migration.collapses += 1;
 
@@ -1478,7 +1360,7 @@ impl Machine {
             None => unreachable!(),
         };
         self.tiers[src.0 as usize].free(old_frame, tr.size);
-        route_tlb(&mut self.lanes, &mut self.tlb, vpage).invalidate(vpage, tr.size);
+        self.tlb.invalidate(vpage, tr.size);
         self.stats.shootdowns += 1;
         let pages_4k = tr.size.bytes() / BASE_PAGE_SIZE;
         self.stats.migration.demoted_4k += pages_4k;
@@ -1734,7 +1616,7 @@ impl Machine {
             None => unreachable!(),
         };
         self.mode_retain_or_free(t.vpage, old_frame, t.from, t.to, t.size);
-        route_tlb(&mut self.lanes, &mut self.tlb, t.vpage).invalidate(t.vpage, t.size);
+        self.tlb.invalidate(t.vpage, t.size);
         self.stats.shootdowns += 1;
         let pages_4k = t.bytes / BASE_PAGE_SIZE;
         if t.to.0 < t.from.0 {
@@ -1765,8 +1647,8 @@ impl Machine {
         self.migration_link_bw(src, dst)
     }
 
-    /// Serializes the complete machine state: tiers, page table, TLB/LLC
-    /// (monolithic or per-lane), migration engine, fault injector, flight
+    /// Serializes the complete machine state: tiers, page table, TLB/LLC,
+    /// migration engine, fault injector, flight
     /// recorder, engine-mode state, and counters. The coalesce memo and
     /// page-table walk cache are pure memos and are excluded (a restored
     /// machine simply starts them cold, which never changes simulated
@@ -1781,16 +1663,6 @@ impl Machine {
         });
         w.section(|w| self.pt.snap_save(w));
         w.section(|w| {
-            match &self.lanes {
-                Some(lanes) => {
-                    w.u32(lanes.len() as u32);
-                    for l in lanes {
-                        l.tlb.snap_save(w);
-                        l.llc.snap_save(w);
-                    }
-                }
-                None => w.u32(0),
-            }
             self.tlb.snap_save(w);
             self.llc.snap_save(w);
         });
@@ -1828,7 +1700,7 @@ impl Machine {
 
     /// Restores state saved by [`Machine::snap_save`] into this machine,
     /// which must be freshly built from the identical configuration (and
-    /// have lanes/faults/flight enabled to match — presence mismatches are
+    /// have faults/flight enabled to match — presence mismatches are
     /// rejected as corruption).
     pub fn snap_restore(
         &mut self,
@@ -1852,17 +1724,6 @@ impl Machine {
         }
         {
             let mut s = r.section()?;
-            let n_lanes = s.u32()? as usize;
-            match &mut self.lanes {
-                Some(lanes) if lanes.len() == n_lanes => {
-                    for l in lanes.iter_mut() {
-                        l.tlb.snap_restore(&mut s)?;
-                        l.llc.snap_restore(&mut s)?;
-                    }
-                }
-                None if n_lanes == 0 => {}
-                _ => return Err(SnapError::Corrupt("lane configuration")),
-            }
             self.tlb.snap_restore(&mut s)?;
             self.llc.snap_restore(&mut s)?;
             s.expect_end()?;

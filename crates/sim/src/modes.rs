@@ -20,9 +20,9 @@
 //! it instruments and stays byte-identical to pre-mode builds.
 //!
 //! Determinism: every structure mutation happens either per event in
-//! stream order (the driver disables deferred batching and sharded bursts
-//! while shadow mode is on) or at boundary points (policy hooks, engine
-//! pumps) that land identically for every chunk/shard configuration.
+//! stream order (the driver disables deferred batching while shadow mode
+//! is on) or at boundary points (policy hooks, engine pumps) that land
+//! identically for every chunk size.
 //! Admission counters are commutative increments and are only *read* at
 //! boundary points, so they tolerate the batched paths.
 

@@ -170,14 +170,6 @@ pub struct TlbStats {
 }
 
 impl TlbStats {
-    /// Accumulates `other` into `self` (used to fold per-lane TLB slices
-    /// into one machine-wide view).
-    pub fn absorb(&mut self, other: &TlbStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.flushes += other.flushes;
-    }
-
     /// Miss ratio in [0, 1]; zero when no lookups happened.
     pub fn miss_ratio(&self) -> f64 {
         let total = self.hits + self.misses;

@@ -7,8 +7,8 @@
 //! iteration order is stable across runs.
 //!
 //! [`Fnv1a`] is the shared coordinate-seed hash: every place that derives a
-//! per-cell / per-case / per-shard RNG seed from a tuple of coordinates
-//! (sweep cells, scaling-bench cases, shard salts) folds the coordinates
+//! per-cell / per-case RNG seed from a tuple of coordinates
+//! (sweep cells, scaling-bench cases) folds the coordinates
 //! through the same 64-bit FNV-1a stream so seeds are stable, well mixed,
 //! and independent of declaration order elsewhere.
 
@@ -80,26 +80,6 @@ impl Fnv1a {
     }
 }
 
-/// Fixed-shape pairwise ("tree") reduction of `f64` partials.
-///
-/// Floating-point addition is not associative, so a parallel fold must pin
-/// *one* summation shape to stay deterministic. This halves the slice
-/// recursively — `(sum of first half) + (sum of second half)`, splitting at
-/// `len/2` — so the result depends only on the values and their order,
-/// never on how many workers produced them. The sharded coordinator merges
-/// its 64 per-lane latency partials through this (the lane count is fixed,
-/// so the shape is too), making the folded clock shard-count-invariant.
-pub fn tree_fold_f64(xs: &[f64]) -> f64 {
-    match xs.len() {
-        0 => 0.0,
-        1 => xs[0],
-        n => {
-            let mid = n / 2;
-            tree_fold_f64(&xs[..mid]) + tree_fold_f64(&xs[mid..])
-        }
-    }
-}
-
 /// A `HashMap` with a deterministic (fixed-key) hasher.
 pub type DetHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
@@ -128,18 +108,6 @@ mod tests {
         assert_eq!(Fnv1a::new().finish(), FNV1A_BASIS);
         assert_eq!(Fnv1a::new().mix_str("a").finish(), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(Fnv1a::new().mix_str("foobar").finish(), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn tree_fold_shape_is_fixed() {
-        let xs: Vec<f64> = (0..64).map(|i| (i as f64) * 0.1 + 1e12).collect();
-        // The shape depends only on the slice, so repeated folds agree
-        // bit-for-bit, and a manual two-level split reproduces it.
-        let a = tree_fold_f64(&xs);
-        let b = tree_fold_f64(&xs[..32]) + tree_fold_f64(&xs[32..]);
-        assert_eq!(a.to_bits(), b.to_bits());
-        assert_eq!(tree_fold_f64(&[]), 0.0);
-        assert_eq!(tree_fold_f64(&[7.5]), 7.5);
     }
 
     #[test]

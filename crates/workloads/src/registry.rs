@@ -51,6 +51,15 @@ impl Benchmark {
         }
     }
 
+    /// Looks a benchmark up by its [`Benchmark::name`], ignoring ASCII
+    /// case. Anything else — an abbreviation such as `"roms"` included — is
+    /// `None`, so callers can reject it instead of guessing.
+    pub fn from_name(name: &str) -> Option<Benchmark> {
+        Benchmark::ALL
+            .into_iter()
+            .find(|b| b.name().eq_ignore_ascii_case(name))
+    }
+
     /// Paper RSS in GiB (Table 2).
     pub fn paper_rss_gb(self) -> f64 {
         match self {
@@ -126,6 +135,20 @@ impl Benchmark {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_name_matches_full_names_in_any_case() {
+        for name in ["654.roms", "654.ROMS", "654.Roms"] {
+            assert_eq!(Benchmark::from_name(name), Some(Benchmark::Roms));
+        }
+        assert_eq!(Benchmark::from_name("silo"), Some(Benchmark::Silo));
+        for b in Benchmark::ALL {
+            assert_eq!(Benchmark::from_name(b.name()), Some(b));
+        }
+        for bad in ["roms", "bwaves", "", "654.roms "] {
+            assert_eq!(Benchmark::from_name(bad), None, "{bad:?}");
+        }
+    }
 
     #[test]
     fn all_specs_validate_at_default_scale() {

@@ -535,14 +535,14 @@ proptest! {
 
 /// Driver-level shadow conservation: a full MEMTIS run with the shadow
 /// (non-exclusive) engine mode on ends with tier usage equal to RSS plus
-/// in-flight reservations plus retained shadow bytes — serially and with
-/// `--shards 2`. Shadow mode forces per-event execution, so the sharded
-/// run must also reproduce the serial-chunked oracle bit for bit.
+/// in-flight reservations plus retained shadow bytes — with the default
+/// chunk and with `--chunk 1`. Shadow mode forces per-event execution, so
+/// the chunked run must also reproduce the per-event oracle bit for bit.
 #[test]
-fn driver_shadow_mode_conserves_and_is_shard_invariant() {
+fn driver_shadow_mode_conserves_and_is_chunk_invariant() {
     use memtis_repro::memtis::{MemtisConfig, MemtisPolicy};
     use memtis_repro::workloads::{Benchmark, Scale, SpecStream};
-    let run = |shards: Option<usize>| {
+    let run = |chunk: usize| {
         let mut wl = SpecStream::new(Benchmark::XsBench.spec(Scale::TEST, 200_000), 1234);
         let rss = (Benchmark::XsBench.paper_rss_gb() / 1024.0 * (1u64 << 30) as f64) as u64;
         let fast = (rss / 9).max(2 * HUGE_PAGE_SIZE);
@@ -552,7 +552,7 @@ fn driver_shadow_mode_conserves_and_is_shard_invariant() {
         let dcfg = DriverConfig {
             tick_interval_ns: 20_000.0,
             window_events: 25_000,
-            shards,
+            chunk,
             ..Default::default()
         };
         let mut sim = Simulation::new(
@@ -575,25 +575,24 @@ fn driver_shadow_mode_conserves_and_is_shard_invariant() {
         assert_eq!(
             used,
             m.rss_bytes() + m.inflight_reserved_bytes() + m.shadow_bytes(),
-            "shards={shards:?}: used must equal rss + inflight + shadow"
+            "chunk={chunk}: used must equal rss + inflight + shadow"
         );
         assert!(m.used_bytes(TierId::FAST) <= m.capacity_bytes(TierId::FAST));
         report
     };
-    let serial = run(None);
+    let chunked = run(DEFAULT_CHUNK);
     assert!(
-        serial.stats.migration.shadow_retained_4k > 0,
+        chunked.stats.migration.shadow_retained_4k > 0,
         "run must actually exercise shadow retention"
     );
-    let oracle = run(Some(1));
-    let sharded = run(Some(2));
-    assert_eq!(oracle.wall_ns.to_bits(), sharded.wall_ns.to_bits());
+    let oracle = run(1);
+    assert_eq!(oracle.wall_ns.to_bits(), chunked.wall_ns.to_bits());
     assert_eq!(
         format!("{:?}", oracle.stats),
-        format!("{:?}", sharded.stats),
-        "shards=2 must reproduce the shards=1 oracle exactly under shadow mode"
+        format!("{:?}", chunked.stats),
+        "the chunked run must reproduce the per-event oracle exactly under shadow mode"
     );
-    assert_eq!(oracle.windows, sharded.windows);
+    assert_eq!(oracle.windows, chunked.windows);
 }
 
 /// Regression for seed `cc 5dd7688d…` (shrinks to `addrs = [4194304]`):

@@ -134,16 +134,16 @@ fn flight_recorder_windows_tile_the_run() {
     }
 }
 
-/// Sharded execution records demand latencies through the coordinator fold;
-/// the resulting histograms must match the single-shard oracle exactly (the
-/// repo's determinism contract: `--shards N` reproduces `--shards 1` at the
-/// same chunk), so every derived report row is bit-equal.
+/// Batched execution records demand latencies through the coalesced access
+/// path; the demand tap's sample schedule is a pure function of stream
+/// position, so the histograms must match the per-event (`--chunk 1`)
+/// oracle exactly and every derived report row is bit-equal.
 #[test]
-fn sharded_flight_histograms_match_serial_oracle() {
-    let run = |shards: Option<usize>| {
+fn chunked_flight_histograms_match_per_event_oracle() {
+    let run = |chunk: usize| {
         let mut wl = SpecStream::new(Benchmark::XsBench.spec(Scale::TEST, ACCESSES), SEED);
         let mut cfg = driver();
-        cfg.shards = shards;
+        cfg.chunk = chunk;
         let mut sim = Simulation::with_observer(
             machine_for(Benchmark::XsBench, 8),
             MemtisPolicy::new(memtis_cfg()),
@@ -152,18 +152,18 @@ fn sharded_flight_histograms_match_serial_oracle() {
         );
         sim.run(&mut wl).expect("simulation should complete")
     };
-    let oracle = run(Some(1));
-    for n in [2usize, 3] {
-        let sharded = run(Some(n));
+    let oracle = run(1);
+    for n in [7usize, DEFAULT_CHUNK] {
+        let chunked = run(n);
         assert_eq!(
             format!("{:?}", oracle.lat),
-            format!("{:?}", sharded.lat),
-            "shards={n}: flight-recorder rows must match the single-shard oracle"
+            format!("{:?}", chunked.lat),
+            "chunk={n}: flight-recorder rows must match the per-event oracle"
         );
         assert_eq!(
             format!("{:?}", oracle.lat_windows),
-            format!("{:?}", sharded.lat_windows),
-            "shards={n}: per-window latency series must match the single-shard oracle"
+            format!("{:?}", chunked.lat_windows),
+            "chunk={n}: per-window latency series must match the per-event oracle"
         );
     }
 }
@@ -255,21 +255,21 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Sharded runs feed the flight recorder through the coordinator fold;
-    /// for arbitrary shard counts and window sizes the recorded rows (and
-    /// the per-window series) must be bit-equal to the `--shards 1` oracle
-    /// — the same determinism contract the report/trace byte-compares pin.
+    /// Batched runs feed the flight recorder through the coalesced access
+    /// path; for arbitrary chunk and window sizes the recorded rows (and the
+    /// per-window series) must be bit-equal to the `--chunk 1` oracle — the
+    /// same determinism contract the report/trace byte-compares pin.
     #[test]
-    fn sharded_lathists_merge_to_serial_oracle_prop(
-        shards in 2usize..9,
+    fn chunked_lathists_match_per_event_oracle_prop(
+        chunk in 2usize..4096,
         window in prop_oneof![Just(10_000u64), Just(25_000u64)],
     ) {
-        let run = |s: Option<usize>| {
+        let run = |c: usize| {
             let mut wl =
                 SpecStream::new(Benchmark::XsBench.spec(Scale::TEST, 100_000), SEED);
             let mut cfg = driver();
             cfg.window_events = window;
-            cfg.shards = s;
+            cfg.chunk = c;
             let mut sim = Simulation::with_observer(
                 machine_for(Benchmark::XsBench, 8),
                 MemtisPolicy::new(memtis_cfg()),
@@ -278,15 +278,15 @@ proptest! {
             );
             sim.run(&mut wl).expect("simulation should complete")
         };
-        let oracle = run(Some(1));
-        let sharded = run(Some(shards));
+        let oracle = run(1);
+        let chunked = run(chunk);
         prop_assert_eq!(
             format!("{:?}", oracle.lat),
-            format!("{:?}", sharded.lat)
+            format!("{:?}", chunked.lat)
         );
         prop_assert_eq!(
             format!("{:?}", oracle.lat_windows),
-            format!("{:?}", sharded.lat_windows)
+            format!("{:?}", chunked.lat_windows)
         );
     }
 }

@@ -1,8 +1,8 @@
 //! Checkpoint/restore oracle: a run interrupted at an arbitrary event
 //! boundary, snapshotted, restored into a freshly built simulation, and
 //! resumed must produce a byte-identical [`RunReport`] (windows and timeline
-//! included) versus the uninterrupted run — across policies, batched and
-//! sharded execution, and active fault injection.
+//! included) versus the uninterrupted run — across policies, per-event and
+//! batched execution, and active fault injection.
 
 use memtis_repro::baselines::{HememConfig, HememPolicy, TppConfig, TppPolicy};
 use memtis_repro::memtis::{MemtisConfig, MemtisPolicy};
@@ -22,13 +22,12 @@ fn machine() -> MachineConfig {
     cfg
 }
 
-fn driver(chunk: usize, shards: Option<usize>, faults: Option<FaultPlan>) -> DriverConfig {
+fn driver(chunk: usize, faults: Option<FaultPlan>) -> DriverConfig {
     DriverConfig {
         tick_interval_ns: 20_000.0,
         timeline_interval_ns: 150_000.0,
         window_events: 7_000,
         chunk,
-        shards,
         faults,
         ..Default::default()
     }
@@ -102,16 +101,15 @@ fn report_sig(mut r: RunReport) -> String {
 fn oracle(
     mk_policy: &dyn Fn() -> Box<dyn TieringPolicy>,
     chunk: usize,
-    shards: Option<usize>,
     faults: Option<FaultPlan>,
     pause_at: u64,
 ) -> Result<(), TestCaseError> {
     let full = {
-        let mut sim = Simulation::new(machine(), mk_policy(), driver(chunk, shards, faults));
+        let mut sim = Simulation::new(machine(), mk_policy(), driver(chunk, faults));
         report_sig(sim.run(&mut stream()).expect("uninterrupted run completes"))
     };
 
-    let mut sim = Simulation::new(machine(), mk_policy(), driver(chunk, shards, faults));
+    let mut sim = Simulation::new(machine(), mk_policy(), driver(chunk, faults));
     let mut wl = stream();
     let resumed_report = match sim
         .run_until(&mut wl, Some(pause_at))
@@ -124,8 +122,7 @@ fn oracle(
             let bytes = sim.snapshot();
             drop(sim);
             drop(wl);
-            let mut resumed =
-                Simulation::new(machine(), mk_policy(), driver(chunk, shards, faults));
+            let mut resumed = Simulation::new(machine(), mk_policy(), driver(chunk, faults));
             resumed.restore(&bytes).expect("restore succeeds");
             // A fresh stream from event zero: run_until fast-forwards it to
             // the snapshot's position before executing anything.
@@ -138,10 +135,9 @@ fn oracle(
     prop_assert_eq!(
         full,
         report_sig(resumed_report),
-        "interrupt at {} diverged (chunk={}, shards={:?})",
+        "interrupt at {} diverged (chunk={})",
         pause_at,
-        chunk,
-        shards
+        chunk
     );
     Ok(())
 }
@@ -149,14 +145,13 @@ fn oracle(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random pause points across the policy × chunked × sharded × faulted
+    /// Random pause points across the policy × chunked × faulted
     /// matrix: every interruption must be invisible in the final report.
     #[test]
     fn interrupted_runs_resume_bit_exactly(
         pause_frac in 0.05f64..0.95,
         policy_ix in 0usize..3,
         chunked in prop::bool::ANY,
-        sharded in prop::bool::ANY,
         faulted in prop::bool::ANY,
     ) {
         let mk_policy: &dyn Fn() -> Box<dyn TieringPolicy> = match policy_ix {
@@ -165,30 +160,28 @@ proptest! {
             _ => &hemem_policy,
         };
         let chunk = if chunked { DEFAULT_CHUNK } else { 1 };
-        // Sharding requires batched execution.
-        let shards = (chunked && sharded).then_some(2);
         let faults = faulted.then(plan);
         let pause_at = (ACCESSES as f64 * pause_frac) as u64;
-        oracle(mk_policy, chunk, shards, faults, pause_at.max(1))?;
+        oracle(mk_policy, chunk, faults, pause_at.max(1))?;
     }
 }
 
 /// HeMem serializes its page map sorted and selects demotion victims in
 /// ascending-vpage order, so — unlike the original hash-order scan — a
 /// restored policy replays the exact same victim choices. Pin one serial
-/// and one batched+sharded+faulted cell deterministically (the proptest
+/// and one batched+faulted cell deterministically (the proptest
 /// above samples the policy at random).
 #[test]
 fn hemem_interrupted_run_resumes_bit_exactly() {
-    oracle(&hemem_policy, 1, None, None, 12_000).unwrap();
-    oracle(&hemem_policy, DEFAULT_CHUNK, Some(2), Some(plan()), 12_000).unwrap();
+    oracle(&hemem_policy, 1, None, 12_000).unwrap();
+    oracle(&hemem_policy, DEFAULT_CHUNK, Some(plan()), 12_000).unwrap();
 }
 
 /// A run interrupted twice — resume from the first snapshot, pause again,
 /// snapshot again, resume from the second — still matches the straight run.
 #[test]
 fn double_interruption_resumes_bit_exactly() {
-    let dcfg = || driver(DEFAULT_CHUNK, Some(2), Some(plan()));
+    let dcfg = || driver(DEFAULT_CHUNK, Some(plan()));
     let full = {
         let mut sim = Simulation::new(machine(), memtis_policy(), dcfg());
         report_sig(sim.run(&mut stream()).unwrap())
@@ -221,7 +214,7 @@ fn double_interruption_resumes_bit_exactly() {
 /// rejected up front instead of silently diverging.
 #[test]
 fn restore_rejects_mismatched_policy() {
-    let dcfg = || driver(DEFAULT_CHUNK, None, None);
+    let dcfg = || driver(DEFAULT_CHUNK, None);
     let mut sim = Simulation::new(machine(), tpp_policy(), dcfg());
     assert!(sim.run_until(&mut stream(), Some(5_000)).unwrap().is_none());
     let bytes = sim.snapshot();
