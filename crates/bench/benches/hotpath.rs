@@ -288,8 +288,10 @@ fn head_to_head(_c: &mut Criterion) {
 /// Two workloads — 654.roms and a zipfian key-value synth — are recorded
 /// once and replayed from identical traces, so both paths consume the
 /// same byte stream; the per-rep reports are asserted bit-identical
-/// (host wall-clock aside) before timings are reported. Best-of-reps
-/// events/sec and speedups land in `BENCH_hotloop.json`.
+/// (host wall-clock aside) before timings are reported. 654.roms is also
+/// run batched from its live `SpecStream`, so the generator's cost shows
+/// beside the replay's (`roms_generated_eps`, `roms_generated_over_replay`).
+/// Best-of-reps events/sec and speedups land in `BENCH_hotloop.json`.
 fn hotloop(_c: &mut Criterion) {
     use memtis_bench::{
         driver_config, machine_for, CapacityKind, Ratio, System, SEED, TIME_COMPRESSION,
@@ -334,13 +336,12 @@ fn hotloop(_c: &mut Criterion) {
         ("zipf", zipf_spec, zipf_machine),
     ];
 
-    let run_once = |machine: &MachineConfig, mk: &dyn Fn() -> TraceReplay, chunk: usize| {
-        let mut wl = mk();
+    let run_once = |machine: &MachineConfig, wl: &mut dyn AccessStream, chunk: usize| {
         let mut driver = driver_config();
         driver.chunk = chunk;
         let mut sim = Simulation::new(machine.clone(), System::Memtis.build(), driver);
         let start = Instant::now();
-        let report = sim.run(&mut wl).unwrap();
+        let report = sim.run(wl).unwrap();
         (report, start.elapsed().as_secs_f64())
     };
 
@@ -355,20 +356,34 @@ fn hotloop(_c: &mut Criterion) {
     let mut total_events = 0.0;
     let mut total_batched_s = 0.0;
     for (name, spec, machine) in cases {
-        let mut rec = TraceRecorder::new(SpecStream::new(spec, SEED));
+        let generate = name == "roms";
+        let mut rec = TraceRecorder::new(SpecStream::new(spec.clone(), SEED));
         while rec.next_event().is_some() {}
         let trace = rec.finish();
         let mk = || TraceReplay::new(trace.clone(), name).expect("just-recorded trace is valid");
 
         // Interleave legacy/batched reps pairwise so drifting background
         // load biases both paths alike; keep the best rep of each.
-        let (_, _) = run_once(&machine, &mk, 1); // Shared warmup, untimed.
+        let (_, _) = run_once(&machine, &mut mk(), 1); // Shared warmup, untimed.
         let mut legacy_s = f64::INFINITY;
         let mut batched_s = f64::INFINITY;
+        let mut generated_s = f64::INFINITY;
         let mut reports = None;
         for _ in 0..REPS {
-            let (legacy_report, ls) = run_once(&machine, &mk, 1);
-            let (batched_report, bs) = run_once(&machine, &mk, DEFAULT_CHUNK);
+            let (legacy_report, ls) = run_once(&machine, &mut mk(), 1);
+            let (batched_report, bs) = run_once(&machine, &mut mk(), DEFAULT_CHUNK);
+            if generate {
+                let mut live = SpecStream::new(spec.clone(), SEED);
+                let (mut live_report, gs) = run_once(&machine, &mut live, DEFAULT_CHUNK);
+                generated_s = generated_s.min(gs);
+                // The replay is named after the case, not the benchmark.
+                live_report.workload = batched_report.workload.clone();
+                assert_eq!(
+                    signature(live_report),
+                    signature(batched_report.clone()),
+                    "live generator diverged from its recorded trace on {name}"
+                );
+            }
             legacy_s = legacy_s.min(ls);
             batched_s = batched_s.min(bs);
             reports = Some((legacy_report, batched_report));
@@ -393,6 +408,18 @@ fn hotloop(_c: &mut Criterion) {
         metrics.push((format!("{name}_legacy_eps"), events / legacy_s));
         metrics.push((format!("{name}_batched_eps"), events / batched_s));
         metrics.push((format!("{name}_speedup"), speedup));
+        if generate {
+            lines.push(format!(
+                "{name} generated {:.1} Mev/s ({:.2}x replay)",
+                events / generated_s / 1e6,
+                batched_s / generated_s,
+            ));
+            metrics.push((format!("{name}_generated_eps"), events / generated_s));
+            metrics.push((
+                format!("{name}_generated_over_replay"),
+                batched_s / generated_s,
+            ));
+        }
         total_events += events;
         total_batched_s += batched_s;
     }

@@ -2,16 +2,18 @@
 
 //! Criterion micro-benchmarks for the hot paths of the stack: the per-access
 //! machine pipeline, PEBS sampling, histogram updates, Algorithm 1, page
-//! walks, and huge-page splits. These bound the simulator's throughput and
-//! double as regression guards.
+//! walks, huge-page splits, and workload generation. These bound the
+//! simulator's throughput and double as regression guards.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use memtis_core::{adapt, AccessHistogram};
 use memtis_sim::prelude::*;
 use memtis_tracking::pebs::PebsSampler;
 use memtis_workloads::dist::ZipfTable;
+use memtis_workloads::{Benchmark, Scale, SpecStream};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::{Duration, Instant};
 
 fn machine_access(c: &mut Criterion) {
     let mut m = Machine::new(MachineConfig::dram_nvm(64 << 21, 512 << 21));
@@ -115,9 +117,40 @@ fn zipf_sampling(c: &mut Criterion) {
     c.bench_function("zipf_sample", |b| b.iter(|| black_box(z.sample(&mut rng))));
 }
 
+/// Workload generation: one 1024-event `fill` per iteration on a long
+/// default-scale stream (restarted when it runs dry, so Zipf table builds
+/// are amortized as in a run). Also prints the mean ns/event.
+fn spec_fill(c: &mut Criterion) {
+    const ACCESSES: u64 = 6_000_000;
+    for bench in [Benchmark::Roms, Benchmark::Silo, Benchmark::Btree] {
+        let spec = bench.spec(Scale::DEFAULT, ACCESSES);
+        let mut stream = SpecStream::new(spec.clone(), 1);
+        let mut buf = vec![WorkloadEvent::Access(Access::load(0)); DEFAULT_CHUNK];
+        let (mut elapsed, mut events) = (Duration::ZERO, 0u64);
+        let id = format!("spec_fill/{}", bench.name());
+        c.bench_function(&id, |b| {
+            b.iter(|| {
+                let start = Instant::now();
+                let mut n = stream.fill(&mut buf);
+                if n == 0 {
+                    stream = SpecStream::new(spec.clone(), 1);
+                    n = stream.fill(&mut buf);
+                }
+                elapsed += start.elapsed();
+                events += n as u64;
+                black_box(&buf);
+            })
+        });
+        println!(
+            "{id:<40} {:.1} ns/event",
+            elapsed.as_nanos() as f64 / events as f64
+        );
+    }
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = machine_access, pebs_observe, histogram_ops, algorithm1, page_walks, huge_split, zipf_sampling
+    targets = machine_access, pebs_observe, histogram_ops, algorithm1, page_walks, huge_split, zipf_sampling, spec_fill
 }
 criterion_main!(micro);

@@ -7,13 +7,21 @@
 
 use rand::Rng;
 
+/// Most guide-table buckets per [`ZipfTable`] (a power of two).
+const MAX_BUCKETS: usize = 1 << 16;
+
 /// Zipf(s) sampler over ranks `0..n` (rank 0 is the hottest).
 ///
-/// Uses a precomputed CDF with binary search: exact, deterministic given the
-/// RNG, and fast enough for multi-million-access streams.
+/// Inverts a precomputed CDF: exact and deterministic given the RNG. A guide
+/// table (Chen–Asau cut-points) splits `[0, 1)` into `K` equal buckets and
+/// records where each starts in the CDF, so a draw binary-searches only its
+/// bucket's few entries instead of the whole table — with the same result.
 #[derive(Debug, Clone)]
 pub struct ZipfTable {
     cdf: Vec<f64>,
+    /// `guide[b]` is the first rank `i` with `cdf[i] >= b / K`, for
+    /// `b in 0..=K`; `K = guide.len() - 1` is a power of two.
+    guide: Vec<u32>,
 }
 
 impl ZipfTable {
@@ -24,6 +32,7 @@ impl ZipfTable {
     /// Panics if `n == 0`.
     pub fn new(n: u64, s: f64) -> Self {
         assert!(n > 0, "zipf over zero ranks");
+        assert!(n <= u64::from(u32::MAX), "zipf over 2^32 or more ranks");
         let mut cdf = Vec::with_capacity(n as usize);
         let mut acc = 0.0;
         for k in 1..=n {
@@ -34,7 +43,18 @@ impl ZipfTable {
         for v in &mut cdf {
             *v /= total;
         }
-        ZipfTable { cdf }
+        let k = cdf.len().next_power_of_two().min(MAX_BUCKETS);
+        let mut guide = Vec::with_capacity(k + 1);
+        let mut i = 0;
+        for b in 0..=k {
+            // Exact: `k` is a power of two.
+            let edge = b as f64 / k as f64;
+            while i < cdf.len() && cdf[i] < edge {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        ZipfTable { cdf, guide }
     }
 
     /// Number of ranks.
@@ -50,8 +70,20 @@ impl ZipfTable {
     /// Samples a rank in `0..n`.
     #[inline]
     pub fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
-        let u: f64 = rng.gen();
-        self.cdf.partition_point(|&c| c < u) as u64
+        self.rank_of(rng.gen())
+    }
+
+    /// The rank a uniform draw `u` in `[0, 1)` maps to: the first `i` with
+    /// `cdf[i] >= u`, the same as a binary search over the whole CDF.
+    #[inline]
+    pub fn rank_of(&self, u: f64) -> u64 {
+        let k = self.guide.len() - 1;
+        // `u * k` is exact, so `u` lies in bucket `b`'s `[b/k, (b+1)/k)`
+        // and its rank in `guide[b]..=guide[b + 1]`.
+        let b = (u * k as f64) as usize;
+        let lo = self.guide[b] as usize;
+        let hi = self.guide[b + 1] as usize;
+        (lo + self.cdf[lo..hi].partition_point(|&c| c < u)) as u64
     }
 
     /// Probability mass of rank `k`.
@@ -116,6 +148,35 @@ mod tests {
         let flat = ZipfTable::new(1000, 0.2);
         let steep = ZipfTable::new(1000, 1.2);
         assert!(steep.pmf(0) > flat.pmf(0) * 5.0);
+    }
+
+    /// The guide-table search agrees with a binary search over the whole
+    /// CDF: at random draws, at every bucket edge and its neighbouring
+    /// `f64`s, and at both ends of `[0, 1)`. `s = 0` with `n` a power of
+    /// two puts CDF values exactly on bucket edges.
+    #[test]
+    fn rank_of_matches_full_cdf_search() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for n in [1u64, 2, 3, 511, 512, 513, 65_537, 223_000] {
+            for s in [0.0, 0.3, 0.8, 0.99, 1.2] {
+                let z = ZipfTable::new(n, s);
+                let full = |u: f64| z.cdf.partition_point(|&c| c < u) as u64;
+                let k = z.guide.len() - 1;
+                assert!(k.is_power_of_two() && k <= MAX_BUCKETS);
+                // Adjacent `f64`s of a non-negative `x`, by bit pattern.
+                let down = |x: f64| f64::from_bits(x.to_bits().saturating_sub(1));
+                let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+                let mut us = vec![0.0, down(1.0)];
+                us.extend((0..2_000).map(|_| rng.gen::<f64>()));
+                for b in 0..=k {
+                    let edge = b as f64 / k as f64;
+                    us.extend([down(edge), edge, up(edge)]);
+                }
+                for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                    assert_eq!(z.rank_of(u), full(u), "n {n} s {s} u {u:e}");
+                }
+            }
+        }
     }
 
     #[test]

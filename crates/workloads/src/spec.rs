@@ -87,30 +87,77 @@ impl RegionSpec {
     /// Maps a slot rank to its subpage index within the region.
     #[inline]
     pub fn subpage_of_slot(&self, slot: u64) -> u64 {
-        match self.placement {
-            Placement::Dense => {
-                // Dense within a huge page, scattered across huge pages.
-                let n_hp = self.subpages() / NR_SUBPAGES;
-                if n_hp <= 1 {
-                    return slot % self.subpages();
-                }
-                let hp = slot / NR_SUBPAGES;
-                let sub = slot % NR_SUBPAGES;
-                let stride = scatter_stride(n_hp);
-                ((hp * stride) % n_hp) * NR_SUBPAGES + sub
-            }
-            Placement::Scattered => {
-                let n = self.subpages();
-                let stride = scatter_stride(n);
-                (slot.wrapping_mul(stride)) % n
-            }
-        }
+        SlotMap::of(self).subpage(slot)
     }
 
     /// Virtual address of a slot's subpage start.
     #[inline]
     pub fn slot_addr(&self, slot: u64) -> u64 {
-        self.addr.0 + self.subpage_of_slot(slot) * BASE_PAGE_SIZE
+        SlotMap::of(self).addr(slot)
+    }
+}
+
+/// A region's slot→subpage mapping with its coprime stride resolved.
+///
+/// Finding the stride takes a `gcd` loop, so [`SpecStream`] builds one map
+/// per region up front and the per-access mapping is one multiply and one
+/// remainder. [`RegionSpec::subpage_of_slot`] goes through the same map, so
+/// there is one mapping, not two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotMap {
+    base: u64,
+    slots: u64,
+    /// Permute whole huge pages (dense placement over more than one huge
+    /// page) rather than individual subpages.
+    dense: bool,
+    /// Huge pages in the region when `dense`, subpages otherwise.
+    modulus: u64,
+    stride: u64,
+}
+
+impl SlotMap {
+    /// The mapping of `region`'s current placement and address.
+    pub fn of(region: &RegionSpec) -> Self {
+        let subpages = region.subpages();
+        let n_hp = subpages / NR_SUBPAGES;
+        let (dense, modulus, stride) = match region.placement {
+            Placement::Dense if n_hp > 1 => (true, n_hp, scatter_stride(n_hp)),
+            // At most one huge page: the identity, i.e. stride 1.
+            Placement::Dense => (false, subpages, 1),
+            Placement::Scattered => (false, subpages, scatter_stride(subpages)),
+        };
+        SlotMap {
+            base: region.addr.0,
+            slots: region.slots,
+            dense,
+            modulus,
+            stride,
+        }
+    }
+
+    /// Number of live slots.
+    #[inline]
+    pub fn slots(&self) -> u64 {
+        self.slots
+    }
+
+    /// Subpage index within the region of `slot`.
+    #[inline]
+    pub fn subpage(&self, slot: u64) -> u64 {
+        if self.dense {
+            // Dense within a huge page, scattered across huge pages.
+            let hp = slot / NR_SUBPAGES;
+            let sub = slot % NR_SUBPAGES;
+            ((hp * self.stride) % self.modulus) * NR_SUBPAGES + sub
+        } else {
+            slot.wrapping_mul(self.stride) % self.modulus
+        }
+    }
+
+    /// Virtual address of `slot`'s subpage start.
+    #[inline]
+    pub fn addr(&self, slot: u64) -> u64 {
+        self.base + self.subpage(slot) * BASE_PAGE_SIZE
     }
 }
 
@@ -263,7 +310,10 @@ pub fn assign_addresses(regions: &mut [RegionSpec]) {
 struct OpState {
     cum_weight: f64,
     zipf: Option<Rc<ZipfTable>>,
+    /// Next sequential rank, kept below the region's slot count.
     cursor: u64,
+    /// `rank_offset` reduced modulo the region's slot count.
+    offset: u64,
 }
 
 /// Deterministic event stream over a [`WorkloadSpec`].
@@ -275,6 +325,9 @@ pub struct SpecStream {
     emitted: u64,
     pending: VecDeque<WorkloadEvent>,
     ops: Vec<OpState>,
+    /// One slot map per spec region, built once (the spec never changes).
+    maps: Vec<SlotMap>,
+    /// Zipf tables by region and exponent bits.
     zipf_cache: HashMap<(usize, u64), Rc<ZipfTable>>,
     line_salt: u64,
 }
@@ -290,6 +343,7 @@ impl SpecStream {
             panic!("invalid workload spec `{}`: {e}", spec.name);
         }
         SpecStream {
+            maps: spec.regions.iter().map(SlotMap::of).collect(),
             spec,
             rng: StdRng::seed_from_u64(seed),
             phase: 0,
@@ -337,7 +391,7 @@ impl SpecStream {
             let zipf = match op.pattern {
                 Pattern::Zipf(s) => {
                     let slots = self.spec.regions[op.region].slots;
-                    let key = (op.region, (s * 1000.0) as u64);
+                    let key = (op.region, s.to_bits());
                     Some(
                         self.zipf_cache
                             .entry(key)
@@ -351,6 +405,7 @@ impl SpecStream {
                 cum_weight: acc,
                 zipf,
                 cursor: 0,
+                offset: op.rank_offset % self.maps[op.region].slots(),
             });
         }
         self.emitted = 0;
@@ -370,26 +425,30 @@ impl SpecStream {
                 .min(self.ops.len() - 1)
         };
         let op = &p.ops[op_idx];
-        let region = &self.spec.regions[op.region];
+        let map = &self.maps[op.region];
+        let slots = map.slots();
+        let st = &mut self.ops[op_idx];
         let rank = match op.pattern {
-            Pattern::Uniform => self.rng.gen_range(0..region.slots),
-            Pattern::Zipf(_) => self.ops[op_idx]
+            Pattern::Uniform => self.rng.gen_range(0..slots),
+            Pattern::Zipf(_) => st
                 .zipf
                 .as_ref()
                 .expect("zipf table built at phase entry")
                 .sample(&mut self.rng),
             Pattern::Sequential => {
-                let st = &mut self.ops[op_idx];
-                let s = st.cursor % region.slots;
-                st.cursor += 1;
+                let s = st.cursor;
+                st.cursor = if s + 1 == slots { 0 } else { s + 1 };
                 s
             }
         };
-        let slot = (rank + op.rank_offset) % region.slots;
+        // `rank < slots` and `offset < slots`: one conditional subtraction
+        // is `(rank + rank_offset) % slots`.
+        let slot = rank + st.offset;
+        let slot = if slot >= slots { slot - slots } else { slot };
         // Spread accesses over the slot's cache lines deterministically.
         self.line_salt = self.line_salt.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let offset = (self.line_salt >> 33) & (BASE_PAGE_SIZE / 64 - 1);
-        let addr = region.slot_addr(slot) + offset * 64;
+        let addr = map.addr(slot) + offset * 64;
         let store = op.store_fraction > 0.0
             && (op.store_fraction >= 1.0 || self.rng.gen::<f64>() < op.store_fraction);
         if store {
@@ -535,6 +594,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn zipf_tables_are_keyed_on_exact_exponent() {
+        // Exponents 0.0008 apart on one region must not share a table.
+        let mut spec = tiny_spec();
+        for (op, s) in spec.phases[1].ops.iter_mut().zip([0.5001, 0.5009]) {
+            op.region = 0;
+            op.pattern = Pattern::Zipf(s);
+        }
+        let mut st = SpecStream::new(spec, 1);
+        while st.current_phase() != Some("run") || !st.phase_ready {
+            st.next_event();
+        }
+        let pmf0: Vec<f64> = st
+            .ops
+            .iter()
+            .map(|o| o.zipf.as_ref().expect("zipf op").pmf(0))
+            .collect();
+        assert_eq!(st.zipf_cache.len(), 2);
+        assert_ne!(pmf0[0], pmf0[1]);
     }
 
     #[test]
