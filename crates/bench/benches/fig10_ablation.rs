@@ -28,7 +28,12 @@ fn main() {
         "traffic vs vanilla",
     ]);
     for bench in Benchmark::ALL {
-        let base = run_baseline(bench, scale, CapacityKind::Nvm);
+        let base = run_baseline(
+            bench,
+            scale,
+            CapacityKind::Nvm,
+            memtis_bench::access_budget(),
+        );
         let vanilla = run_system(
             bench,
             scale,

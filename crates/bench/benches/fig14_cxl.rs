@@ -13,7 +13,12 @@ fn main() {
     let mut worst: f64 = f64::MAX;
     let mut best: f64 = f64::MIN;
     for bench in Benchmark::ALL {
-        let base = run_baseline(bench, scale, CapacityKind::Cxl);
+        let base = run_baseline(
+            bench,
+            scale,
+            CapacityKind::Cxl,
+            memtis_bench::access_budget(),
+        );
         for ratio in Ratio::MAIN {
             let tpp = run_system(bench, scale, ratio, CapacityKind::Cxl, System::Tpp);
             let memtis = run_system(bench, scale, ratio, CapacityKind::Cxl, System::Memtis);

@@ -25,7 +25,12 @@ fn main() {
     let mut cells = 0usize;
 
     for bench in Benchmark::ALL {
-        let base = run_baseline(bench, scale, CapacityKind::Nvm);
+        let base = run_baseline(
+            bench,
+            scale,
+            CapacityKind::Nvm,
+            memtis_bench::access_budget(),
+        );
         for ratio in Ratio::MAIN {
             let mut row: Vec<String> = vec![bench.name().into(), ratio.label()];
             let mut cell_scores = Vec::new();

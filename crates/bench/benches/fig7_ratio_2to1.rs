@@ -23,7 +23,12 @@ fn main() {
         "memtis vs tpp",
     ]);
     for bench in Benchmark::ALL {
-        let base = run_baseline(bench, scale, CapacityKind::Nvm);
+        let base = run_baseline(
+            bench,
+            scale,
+            CapacityKind::Nvm,
+            memtis_bench::access_budget(),
+        );
         let dram_thp = run_cell(
             bench,
             scale,

@@ -70,7 +70,12 @@ fn main() {
     // Sanity anchor: MEMTIS overall overhead stays near the all-NVM case
     // even with the fast tier effectively disabled (tiny fast tier).
     let bench = Benchmark::Roms;
-    let base = run_baseline(bench, scale, CapacityKind::Nvm);
+    let base = run_baseline(
+        bench,
+        scale,
+        CapacityKind::Nvm,
+        memtis_bench::access_budget(),
+    );
     let r = run_system(
         bench,
         scale,

@@ -24,36 +24,31 @@
 //! over — proving that snapshot/restore reproduces the uninterrupted run
 //! byte-for-byte even while fault injection is rewriting schedules.
 //!
-//! Exits non-zero if any plan violates an invariant, printing the plan so
-//! it can be pinned as a regression.
+//! Exits 1 if any plan violates an invariant, printing the plan so it can
+//! be pinned as a regression; a malformed or unknown argument exits 2.
 
-use memtis_bench::{
-    machine_for, parse_admission, parse_hysteresis, parse_shadow, CapacityKind, ModeOverrides,
-    Ratio, System,
-};
+use memtis_bench::cli::{self, Args, CliError};
+use memtis_bench::{machine_for, CapacityKind, Ratio, SnapshotOpts, System};
 use memtis_sim::faults::{FaultCounters, FaultPlan, FaultRng, OutageSpec, PressureSpec};
 use memtis_sim::prelude::*;
 use memtis_workloads::{Benchmark, Scale, SpecStream};
 
 const WORKLOAD_SEED: u64 = 20231023;
 
-fn find_system(name: &str) -> Option<System> {
-    [
-        System::AutoNuma,
-        System::AutoTiering,
-        System::Tiering08,
-        System::Tpp,
-        System::Nimble,
-        System::Hemem,
-        System::Memtis,
-        System::MemtisNs,
-        System::MemtisVanilla,
-        System::MultiClock,
-        System::Tmts,
-    ]
-    .into_iter()
-    .find(|s| s.name().eq_ignore_ascii_case(name))
-}
+const USAGE: &str = "usage: chaos [--plans N] [--accesses N] [--seed MASTER] \
+     [--systems memtis,tpp,...] [--heartbeat EVENTS] [--snapshot-every EVENTS] \
+     [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off] \
+     [--hysteresis on|off|WINDOW:BASE:MAX]";
+
+/// The shared run flags `chaos` takes; `--snapshot-every` checkpoints in
+/// memory, so it needs no `--snapshot-out`.
+const RUN: &[&str] = &[
+    "--heartbeat",
+    "--snapshot-every",
+    "--admission",
+    "--shadow",
+    "--hysteresis",
+];
 
 /// A randomized-but-reproducible plan: index `i` under one master seed
 /// always yields the same plan.
@@ -104,8 +99,7 @@ fn soak_one(
     bench: Benchmark,
     plan: FaultPlan,
     accesses: u64,
-    heartbeat: Option<u64>,
-    modes: &ModeOverrides,
+    driver: &DriverConfig,
     mode: SoakMode<'_>,
 ) -> SoakOutcome {
     let ratio = Ratio {
@@ -116,15 +110,10 @@ fn soak_one(
     // Keep transfers in flight long enough for abort/dirty/outage faults to
     // find targets.
     machine.migration.bandwidth_limit = Some(8.0);
-    let mut driver = DriverConfig {
-        tick_interval_ns: 20_000.0,
-        timeline_interval_ns: 200_000.0,
-        window_events: 25_000,
+    let driver = DriverConfig {
         faults: Some(plan),
-        heartbeat_events: heartbeat,
-        ..Default::default()
+        ..driver.clone()
     };
-    modes.apply(&mut driver);
     let mut wl = SpecStream::new(bench.spec(Scale::TEST, accesses), WORKLOAD_SEED);
     let mut sim = Simulation::new(machine, system.build(), driver);
     let mut snapshot = None;
@@ -193,110 +182,35 @@ fn soak_one(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::from_env();
     let mut plans: usize = 120;
     let mut accesses: u64 = 60_000;
     let mut master_seed: u64 = 0xC4A0_5000;
     let mut systems = vec![System::Memtis];
-    let mut heartbeat: Option<u64> = None;
-    let mut snapshot_every: Option<u64> = None;
-    let mut modes = ModeOverrides::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--plans" => {
-                plans = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(plans);
-                i += 2;
-            }
-            "--accesses" => {
-                accesses = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(accesses);
-                i += 2;
-            }
-            "--seed" => {
-                master_seed = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(master_seed);
-                i += 2;
-            }
-            "--heartbeat" => {
-                heartbeat = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--snapshot-every" => {
-                snapshot_every = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0);
-                i += 2;
-            }
-            "--admission" => {
-                match args.get(i + 1).map(|s| parse_admission(s)) {
-                    Some(Ok(a)) => modes.admission = Some(a),
-                    _ => {
-                        eprintln!("error: --admission needs on|off|HORIZON[:WINDOW]");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--shadow" => {
-                match args.get(i + 1).map(|s| parse_shadow(s)) {
-                    Some(Ok(s)) => modes.shadow = Some(s),
-                    _ => {
-                        eprintln!("error: --shadow needs on|off");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--hysteresis" => {
-                match args.get(i + 1).map(|s| parse_hysteresis(s)) {
-                    Some(Ok(h)) => modes.hysteresis = Some(h),
-                    _ => {
-                        eprintln!("error: --hysteresis needs on|off|WINDOW:BASE:MAX");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--systems" => {
-                systems = args
-                    .get(i + 1)
-                    .map(|v| {
-                        v.split(',')
-                            .filter_map(|s| {
-                                let sys = find_system(s.trim());
-                                if sys.is_none() {
-                                    eprintln!("error: unknown system {s:?}");
-                                    std::process::exit(2);
-                                }
-                                sys
-                            })
-                            .collect()
-                    })
-                    .unwrap_or(systems);
-                i += 2;
-            }
-            other => {
-                eprintln!("error: unknown flag {other:?}");
-                eprintln!(
-                    "usage: chaos [--plans N] [--accesses N] [--seed MASTER] \
-                     [--systems memtis,tpp,...] [--heartbeat EVENTS] \
-                     [--snapshot-every EVENTS] [--admission on|off|HORIZON[:WINDOW]] \
-                     [--shadow on|off] [--hysteresis on|off|WINDOW:BASE:MAX]"
-                );
-                std::process::exit(2);
+    // Every soak cell's driver; each plan fills in its own `faults`.
+    let mut driver = DriverConfig {
+        tick_interval_ns: 20_000.0,
+        timeline_interval_ns: 200_000.0,
+        window_events: 25_000,
+        ..Default::default()
+    };
+    let mut snap = SnapshotOpts::default();
+    let mut parse = || -> Result<(), CliError> {
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--plans" => plans = args.value(&flag)?,
+                "--accesses" => accesses = args.value(&flag)?,
+                "--seed" => master_seed = args.value(&flag)?,
+                "--systems" => systems = args.list(&flag, cli::system)?,
+                f if cli::run_flag(&mut args, f, RUN, &mut driver, &mut snap)? => {}
+                _ => return Err(CliError::unknown(&flag)),
             }
         }
+        Ok(())
+    };
+    if let Err(e) = parse() {
+        cli::exit_usage(&e, USAGE);
     }
-
     let benches = [Benchmark::Silo, Benchmark::XsBench, Benchmark::Btree];
     let mut rng = FaultRng::new(master_seed);
     let mut failures = 0usize;
@@ -307,21 +221,18 @@ fn main() {
         systems.len(),
         accesses
     );
-    if modes.any() {
-        println!(
-            "engine modes: admission={:?} shadow={:?} hysteresis={:?}",
-            modes.admission, modes.shadow, modes.hysteresis
-        );
+    if let Some(banner) = cli::modes_banner(&driver) {
+        println!("{banner}");
     }
     for p in 0..plans {
         let plan = random_plan(&mut rng);
         let bench = benches[p % benches.len()];
         for &system in &systems {
-            let mode = match snapshot_every {
+            let mode = match snap.every {
                 Some(n) => SoakMode::Checkpointed(n),
                 None => SoakMode::Straight,
             };
-            let out = soak_one(system, bench, plan, accesses, heartbeat, &modes, mode);
+            let out = soak_one(system, bench, plan, accesses, &driver, mode);
             totals.merge(&out.faults);
             for v in &out.violations {
                 failures += 1;
@@ -337,7 +248,7 @@ fn main() {
                     Some(bytes) => SoakMode::Resume(bytes),
                     None => SoakMode::Straight,
                 };
-                let again = soak_one(system, bench, plan, accesses, heartbeat, &modes, again_mode);
+                let again = soak_one(system, bench, plan, accesses, &driver, again_mode);
                 if again.signature != out.signature {
                     failures += 1;
                     let kind = if out.snapshot.is_some() {

@@ -21,7 +21,8 @@
 //! `run` executes one cell and prints the detailed report; `compare` runs
 //! every system on one benchmark; `diff` compares two run-report (or
 //! `BENCH_*.json`) documents with relative-tolerance bands and exits
-//! nonzero on regression; `list` shows benchmarks and policies.
+//! nonzero on regression; `list` shows benchmarks and policies. A
+//! malformed, misplaced or unknown argument exits 2.
 //!
 //! Service mode: `--snapshot-out PATH --snapshot-every N` checkpoints the
 //! full simulation state (machine, policy, driver cursors, trace observer)
@@ -37,288 +38,160 @@
 //!
 //! [`TraceFileReader`]: memtis_workloads::TraceFileReader
 
+use memtis_bench::cli::{self, Args, CliError};
 use memtis_bench::{
-    access_budget, driver_config, driver_config_with_window, machine_for, normalized,
-    parse_admission, parse_hysteresis, parse_shadow, run_baseline, run_system_with_driver,
-    write_trace, CapacityKind, ModeOverrides, Ratio, System, Table, TraceFormat,
-    DEFAULT_WINDOW_EVENTS, SEED,
+    access_budget, driver_config, machine_for, normalized, run_baseline, run_cell, run_snapshotted,
+    write_trace, CapacityKind, Ratio, SnapshotOpts, System, Table, TraceFormat, SEED,
 };
-use memtis_workloads::{Benchmark, Scale};
+use memtis_sim::obs::TracingObserver;
+use memtis_sim::prelude::{DriverConfig, Simulation};
+use memtis_workloads::{Benchmark, Scale, SpecStream};
 
-fn parse_ratio(s: &str) -> Option<Ratio> {
-    let (f, c) = s.split_once(':')?;
-    Some(Ratio {
-        fast: f.parse().ok()?,
-        capacity: c.parse().ok()?,
-    })
-}
+const USAGE: &str =
+    "usage:\n  memtis run <benchmark> [--ratio F:C] [--policy NAME] [--cxl] [--accesses N]\n    \
+     [--trace-out PATH] [--trace-format jsonl|perfetto] [--window EVENTS]\n    \
+     [--migration-bw BYTES_PER_NS] [--migration-queue DEPTH] [--faults SPEC] [--chunk N]\n    \
+     [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off] [--hysteresis on|off|W:B:M]\n    \
+     [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]\n  \
+     memtis compare <benchmark> [--ratio F:C] [--cxl] [--accesses N]\n    \
+     [--migration-bw BYTES_PER_NS] [--migration-queue DEPTH] [--faults SPEC] [--chunk N]\n  \
+     memtis record <benchmark> --out PATH [--accesses N]\n  \
+     memtis replay <benchmark> <trace> [--policy NAME] [--ratio F:C] [--cxl]\n    \
+     [--in-memory] [--chunk-bytes N]\n  \
+     memtis diff <old.json> <new.json> [--tol FRAC] [--tol KEY=FRAC] [--ignore GLOB]\n  \
+     memtis list";
 
-fn find_system(name: &str) -> Option<System> {
-    let all = [
-        System::AutoNuma,
-        System::AutoTiering,
-        System::Tiering08,
-        System::Tpp,
-        System::Nimble,
-        System::Hemem,
-        System::Memtis,
-        System::MemtisNs,
-        System::MemtisVanilla,
-        System::MultiClock,
-        System::Tmts,
-        System::AllNvm,
-        System::AllDram,
-    ];
-    all.into_iter()
-        .find(|s| s.name().eq_ignore_ascii_case(name))
-}
-
-struct Opts {
-    ratio: Ratio,
-    kind: CapacityKind,
-    policy: System,
-    trace_out: Option<String>,
-    trace_format: TraceFormat,
-    window: u64,
-    migration_bw: Option<f64>,
-    migration_queue: Option<usize>,
-    faults: Option<memtis_sim::faults::FaultPlan>,
-    chunk: Option<usize>,
-    heartbeat: Option<u64>,
-    modes: ModeOverrides,
-    snap: memtis_bench::SnapshotOpts,
-}
-
-impl Opts {
-    /// The default driver config with this invocation's migration and
-    /// chunking overrides applied.
-    fn driver(&self) -> memtis_sim::prelude::DriverConfig {
-        let mut d = driver_config();
-        d.migration_bw = self.migration_bw;
-        d.migration_queue = self.migration_queue;
-        d.faults = self.faults;
-        if let Some(c) = self.chunk {
-            d.chunk = c;
-        }
-        d.heartbeat_events = self.heartbeat;
-        self.modes.apply(&mut d);
-        d
+/// The flags each cell subcommand takes: its own, then the shared run
+/// flags ([`cli::run_flag`]).
+fn flags(cmd: &str) -> (&'static [&'static str], &'static [&'static str]) {
+    match cmd {
+        "run" => (
+            &[
+                "--ratio",
+                "--policy",
+                "--cxl",
+                "--accesses",
+                "--trace-out",
+                "--trace-format",
+            ],
+            &[
+                "--window",
+                "--migration-bw",
+                "--migration-queue",
+                "--faults",
+                "--chunk",
+                "--admission",
+                "--shadow",
+                "--hysteresis",
+                "--snapshot-out",
+                "--snapshot-every",
+                "--resume",
+            ],
+        ),
+        "compare" => (
+            &["--ratio", "--cxl", "--accesses"],
+            &["--migration-bw", "--migration-queue", "--faults", "--chunk"],
+        ),
+        "record" => (&["--out", "--accesses"], &[]),
+        "replay" => (
+            &[
+                "--policy",
+                "--ratio",
+                "--cxl",
+                "--in-memory",
+                "--chunk-bytes",
+            ],
+            &[],
+        ),
+        _ => (&[], &[]),
     }
 }
 
-fn parse_opts(args: &[String]) -> Opts {
+/// One `run` / `compare` / `record` / `replay` invocation.
+struct Opts {
+    bench: Benchmark,
+    ratio: Ratio,
+    kind: CapacityKind,
+    policy: System,
+    accesses: u64,
+    /// The trace file: `record --out PATH`, or `replay`'s `<trace>`.
+    trace: Option<String>,
+    trace_out: Option<String>,
+    trace_format: TraceFormat,
+    in_memory: bool,
+    chunk_bytes: Option<usize>,
+    driver: DriverConfig,
+    snap: SnapshotOpts,
+}
+
+fn parse(cmd: &str, mut args: Args) -> Result<Opts, CliError> {
     let mut o = Opts {
+        bench: args.value_with("<benchmark>", cli::benchmark)?,
         ratio: Ratio {
             fast: 1,
             capacity: 8,
         },
         kind: CapacityKind::Nvm,
         policy: System::Memtis,
+        accesses: access_budget(),
+        trace: None,
         trace_out: None,
         trace_format: TraceFormat::Jsonl,
-        window: DEFAULT_WINDOW_EVENTS,
-        migration_bw: None,
-        migration_queue: None,
-        faults: None,
-        chunk: None,
-        heartbeat: None,
-        modes: ModeOverrides::default(),
-        snap: memtis_bench::SnapshotOpts::default(),
+        in_memory: false,
+        chunk_bytes: None,
+        driver: driver_config(),
+        snap: SnapshotOpts::default(),
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--ratio" => {
-                if let Some(r) = args.get(i + 1).and_then(|s| parse_ratio(s)) {
-                    o.ratio = r;
-                }
-                i += 2;
-            }
-            "--policy" => {
-                if let Some(p) = args.get(i + 1).and_then(|s| find_system(s)) {
-                    o.policy = p;
-                }
-                i += 2;
-            }
-            "--cxl" => {
-                o.kind = CapacityKind::Cxl;
-                i += 1;
-            }
-            "--accesses" => {
-                if let Some(n) = args.get(i + 1) {
-                    std::env::set_var("MEMTIS_ACCESSES", n);
-                }
-                i += 2;
-            }
-            "--trace-out" => {
-                o.trace_out = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--trace-format" => {
-                match args.get(i + 1).and_then(|s| TraceFormat::parse(s)) {
-                    Some(f) => o.trace_format = f,
-                    None => {
-                        eprintln!("error: --trace-format must be jsonl or perfetto");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--window" => {
-                if let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    o.window = n;
-                }
-                i += 2;
-            }
-            "--migration-bw" => {
-                o.migration_bw = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--migration-queue" => {
-                o.migration_queue = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--chunk" => {
-                o.chunk = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--heartbeat" => {
-                o.heartbeat = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--snapshot-out" => {
-                o.snap.out = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--snapshot-every" => {
-                o.snap.every = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--resume" => {
-                o.snap.resume = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--admission" => {
-                match args.get(i + 1).map(|s| parse_admission(s)) {
-                    Some(Ok(a)) => o.modes.admission = Some(a),
-                    _ => {
-                        eprintln!("error: --admission needs on|off|HORIZON[:WINDOW]");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--shadow" => {
-                match args.get(i + 1).map(|s| parse_shadow(s)) {
-                    Some(Ok(s)) => o.modes.shadow = Some(s),
-                    _ => {
-                        eprintln!("error: --shadow needs on|off");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--hysteresis" => {
-                match args.get(i + 1).map(|s| parse_hysteresis(s)) {
-                    Some(Ok(h)) => o.modes.hysteresis = Some(h),
-                    _ => {
-                        eprintln!("error: --hysteresis needs on|off|WINDOW:BASE:MAX");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--faults" => {
-                match args
-                    .get(i + 1)
-                    .map(|s| memtis_sim::faults::FaultPlan::parse(s))
-                {
-                    Some(Ok(plan)) => o.faults = Some(plan),
-                    Some(Err(e)) => {
-                        eprintln!("error: bad --faults spec: {e}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("error: --faults needs a spec");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            _ => i += 1,
+    if cmd == "replay" {
+        o.trace = Some(args.value("<trace>")?);
+    }
+    let (own, run) = flags(cmd);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            f if cli::run_flag(&mut args, f, run, &mut o.driver, &mut o.snap)? => {}
+            f if !own.contains(&f) => return Err(CliError::unknown(f)),
+            "--ratio" => o.ratio = args.value_with(&flag, Ratio::parse)?,
+            "--policy" => o.policy = args.value_with(&flag, cli::system)?,
+            "--cxl" => o.kind = CapacityKind::Cxl,
+            "--accesses" => o.accesses = args.value(&flag)?,
+            "--trace-out" => o.trace_out = Some(args.value(&flag)?),
+            "--trace-format" => o.trace_format = args.value_with(&flag, TraceFormat::parse)?,
+            "--out" => o.trace = Some(args.value(&flag)?),
+            "--in-memory" => o.in_memory = true,
+            "--chunk-bytes" => o.chunk_bytes = Some(args.value(&flag)?),
+            f => return Err(CliError::unknown(f)),
         }
     }
-    if let Err(e) = o.snap.validate() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
+    if cmd == "record" && o.trace.is_none() {
+        return Err(CliError::new("--out", "record needs --out PATH"));
     }
-    o
+    o.snap.validate()?;
+    Ok(o)
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  memtis run <benchmark> [--ratio F:C] [--policy NAME] [--cxl] [--accesses N]\n    \
-         [--trace-out PATH] [--trace-format jsonl|perfetto] [--window EVENTS]\n    \
-         [--migration-bw BYTES_PER_NS] [--migration-queue DEPTH] [--chunk N]\n    \
-         [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off] [--hysteresis on|off|W:B:M]\n    \
-         [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]\n  \
-         memtis compare <benchmark> [--ratio F:C] [--cxl] [--accesses N]\n  \
-         memtis record <benchmark> --out PATH [--accesses N]\n  \
-         memtis replay <benchmark> <trace> [--policy NAME] [--ratio F:C] [--cxl]\n    \
-         [--in-memory] [--chunk-bytes N]\n  \
-         memtis diff <old.json> <new.json> [--tol FRAC] [--tol KEY=FRAC] [--ignore GLOB]\n  \
-         memtis list"
-    );
-    std::process::exit(2);
+/// Exits 1 with `what` and the error.
+fn fail(what: &str, e: &dyn std::fmt::Debug) -> ! {
+    eprintln!("error: {what}: {e:?}");
+    std::process::exit(1);
 }
 
 /// Streams a benchmark's workload events to a binary trace file with
 /// bounded memory ([`memtis_workloads::TraceFileWriter`]).
-fn run_record(args: &[String]) {
+fn run_record(o: Opts) {
     use memtis_sim::prelude::AccessStream;
-    use memtis_workloads::{SpecStream, TraceFileWriter};
-    let Some(bench) = args.first().and_then(|s| Benchmark::from_name(s)) else {
-        usage()
-    };
-    let mut out: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                out = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--accesses" => {
-                if let Some(n) = args.get(i + 1) {
-                    std::env::set_var("MEMTIS_ACCESSES", n);
-                }
-                i += 2;
-            }
-            _ => i += 1,
-        }
-    }
-    let Some(path) = out else {
-        eprintln!("error: record needs --out PATH");
-        std::process::exit(2);
-    };
-    let mut writer = match TraceFileWriter::create(&path) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("error: cannot create {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut stream = SpecStream::new(bench.spec(Scale::DEFAULT, access_budget()), SEED);
+    use memtis_workloads::TraceFileWriter;
+    let path = o.trace.expect("parse requires --out");
+    let mut writer = TraceFileWriter::create(&path)
+        .unwrap_or_else(|e| fail(&format!("cannot create {path}"), &e));
+    let mut stream = SpecStream::new(o.bench.spec(Scale::DEFAULT, o.accesses), SEED);
     while let Some(ev) = stream.next_event() {
         if let Err(e) = writer.record(&ev) {
-            eprintln!("error: write to {path} failed: {e}");
-            std::process::exit(1);
+            fail(&format!("write to {path} failed"), &e);
         }
     }
     let events = writer.events();
     if let Err(e) = writer.finish() {
-        eprintln!("error: flushing {path} failed: {e}");
-        std::process::exit(1);
+        fail(&format!("flushing {path} failed"), &e);
     }
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     println!("recorded {events} events ({bytes} bytes) to {path}");
@@ -328,61 +201,26 @@ fn run_record(args: &[String]) {
 /// bounded-buffer reader by default, whole-trace in-memory with
 /// `--in-memory`. Prints only sim-deterministic quantities so the two
 /// modes are byte-comparable.
-fn run_replay(args: &[String]) {
-    use memtis_sim::prelude::Simulation;
+fn run_replay(o: Opts) {
     use memtis_workloads::{Bytes, TraceFileReader, TraceReplay};
-    let Some(bench) = args.first().and_then(|s| Benchmark::from_name(s)) else {
-        usage()
-    };
-    let Some(path) = args.get(1).filter(|p| !p.starts_with("--")).cloned() else {
-        usage()
-    };
-    let mut in_memory = false;
-    let mut chunk_bytes: Option<usize> = None;
-    let mut i = 2;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--in-memory" => {
-                in_memory = true;
-                i += 1;
-            }
-            "--chunk-bytes" => {
-                chunk_bytes = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            _ => i += 1,
-        }
-    }
-    let o = parse_opts(&args[2..]);
-    let machine = machine_for(bench, Scale::DEFAULT, o.ratio, o.kind);
-    let mut sim = Simulation::new(machine, o.policy.build(), o.driver());
-    let fail = |what: &str, e: &dyn std::fmt::Debug| -> ! {
-        eprintln!("error: {what}: {e:?}");
-        std::process::exit(1);
-    };
-    let r = if in_memory {
-        let data = match std::fs::read(&path) {
-            Ok(d) => d,
-            Err(e) => fail("cannot read trace", &e),
-        };
-        let mut replay = match TraceReplay::new(Bytes::from(data), "replay") {
-            Ok(r) => r,
-            Err(e) => fail("invalid trace", &e),
-        };
+    let path = o.trace.expect("parse requires <trace>");
+    let machine = machine_for(o.bench, Scale::DEFAULT, o.ratio, o.kind);
+    let mut sim = Simulation::new(machine, o.policy.build(), o.driver);
+    let r = if o.in_memory {
+        let data = std::fs::read(&path).unwrap_or_else(|e| fail("cannot read trace", &e));
+        let mut replay = TraceReplay::new(Bytes::from(data), "replay")
+            .unwrap_or_else(|e| fail("invalid trace", &e));
         let r = sim.run(&mut replay).unwrap_or_else(|e| fail("run", &e));
         if let Some(e) = replay.take_error() {
             fail("trace decode", &e);
         }
         r
     } else {
-        let open = match chunk_bytes {
+        let open = match o.chunk_bytes {
             Some(n) => TraceFileReader::with_chunk_bytes(&path, "replay", n),
             None => TraceFileReader::open(&path, "replay"),
         };
-        let mut reader = match open {
-            Ok(r) => r,
-            Err(e) => fail("cannot open trace", &e),
-        };
+        let mut reader = open.unwrap_or_else(|e| fail("cannot open trace", &e));
         let r = sim.run(&mut reader).unwrap_or_else(|e| fail("run", &e));
         if let Some(e) = reader.take_error() {
             fail("trace decode", &e);
@@ -406,16 +244,11 @@ fn run_replay(args: &[String]) {
     );
 }
 
-fn run_diff(args: &[String]) -> ! {
+fn run_diff(args: Args) -> ! {
     use memtis_bench::{diff_reports, parse_diff_args, render_diff};
     use memtis_sim::obs::json::Json;
-    let (old_path, new_path, opts) = match parse_diff_args(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let (old_path, new_path, opts) =
+        parse_diff_args(args).unwrap_or_else(|e| cli::exit_usage(&e, USAGE));
     let load = |path: &str| -> Json {
         let body = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("error: cannot read {path}: {e}");
@@ -435,199 +268,147 @@ fn run_diff(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
+/// Executes one cell and prints the detailed report.
+fn run_one(o: Opts) {
+    let base = run_baseline(o.bench, Scale::DEFAULT, o.kind, o.accesses);
+    let machine = machine_for(o.bench, Scale::DEFAULT, o.ratio, o.kind);
+    let mut wl = SpecStream::new(o.bench.spec(Scale::DEFAULT, o.accesses), SEED);
+    let driver = o.driver.clone();
+    let r = match &o.trace_out {
+        Some(path) => {
+            let obs = TracingObserver::new();
+            let mut sim = Simulation::with_observer(machine, o.policy.build(), driver, obs);
+            let r = cli::run_or_exit(run_snapshotted(&mut sim, &mut wl, &o.snap));
+            write_trace(path, o.trace_format, sim.observer(), &r.windows);
+            r
+        }
+        None => {
+            let mut sim = Simulation::new(machine, o.policy.build(), driver);
+            cli::run_or_exit(run_snapshotted(&mut sim, &mut wl, &o.snap))
+        }
+    };
+    let kind = match o.kind {
+        CapacityKind::Cxl => "CXL",
+        CapacityKind::Nvm => "NVM",
+    };
+    println!(
+        "{} on {} at {} ({kind}):",
+        o.policy.name(),
+        o.bench.name(),
+        o.ratio.label(),
+    );
+    println!(
+        "  normalized perf   : {:.3} (vs all-{kind} w/ THP)",
+        normalized(&base, &r),
+    );
+    println!("  wall time         : {:.2} ms", r.wall_ns / 1e6);
+    println!("  throughput        : {:.1} M acc/s", r.throughput() / 1e6);
+    println!(
+        "  sim self-thpt     : {:.2} M events/s (host)",
+        r.self_events_per_sec() / 1e6
+    );
+    println!(
+        "  fast-tier hits    : {:.1}%",
+        r.stats.fast_tier_hit_ratio() * 100.0
+    );
+    println!(
+        "  migration traffic : {} 4K pages",
+        r.stats.migration.traffic_4k()
+    );
+    println!("  huge-page splits  : {}", r.stats.migration.splits);
+    println!(
+        "  RSS (peak/final)  : {} / {} MB",
+        r.rss_peak_bytes >> 20,
+        r.rss_final_bytes >> 20
+    );
+    println!("  daemon CPU        : {:.2} cores", r.daemon_core_usage());
+    println!("  app-path overhead : {:.2} ms", r.app_extra_ns / 1e6);
+    if o.driver.faults.is_some() {
+        println!(
+            "  faults injected   : {} ({:?})",
+            r.faults.total(),
+            r.faults
+        );
+        println!("  hist underflows   : {}", r.hist_underflows);
+    }
+    let thpt: Vec<f64> = r.timeline.iter().map(|s| s.window_throughput).collect();
+    let fhr: Vec<f64> = r.timeline.iter().map(|s| s.window_fast_hit_ratio).collect();
+    if !thpt.is_empty() {
+        println!(
+            "  throughput  (t →) : {}",
+            memtis_bench::sparkline(&thpt, 48)
+        );
+        println!(
+            "  fast-hit %  (t →) : {}",
+            memtis_bench::sparkline(&fhr, 48)
+        );
+    }
+}
+
+/// Runs every Fig. 5 system on one benchmark, best first.
+fn run_compare(o: Opts) {
+    let base = run_baseline(o.bench, Scale::DEFAULT, o.kind, o.accesses);
+    let mut t = Table::new(vec![
+        "policy",
+        "normalized",
+        "fast-hit %",
+        "traffic 4K",
+        "splits",
+    ]);
+    let mut rows: Vec<(f64, Vec<String>)> = Vec::new();
+    for sys in System::FIG5 {
+        let machine = machine_for(o.bench, Scale::DEFAULT, o.ratio, o.kind);
+        let r = run_cell(
+            o.bench,
+            Scale::DEFAULT,
+            machine,
+            sys.build(),
+            o.driver.clone(),
+            o.accesses,
+        );
+        let n = normalized(&base, &r);
+        rows.push((
+            n,
+            vec![
+                sys.name().to_string(),
+                format!("{n:.3}"),
+                format!("{:.1}", r.stats.fast_tier_hit_ratio() * 100.0),
+                r.stats.migration.traffic_4k().to_string(),
+                r.stats.migration.splits.to_string(),
+            ],
+        ));
+    }
+    rows.sort_by(|a, b| b.0.total_cmp(&a.0));
+    for (_, row) in rows {
+        t.row(row);
+    }
+    println!("{} at {}:\n{}", o.bench.name(), o.ratio.label(), t.render());
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => {
+    let mut args = Args::from_env();
+    let cmd = args.next().unwrap_or_default();
+    let cell = |args| parse(&cmd, args).unwrap_or_else(|e| cli::exit_usage(&e, USAGE));
+    match cmd.as_str() {
+        "list" => {
+            if let Some(extra) = args.next() {
+                cli::exit_usage(&CliError::unknown(&extra), USAGE);
+            }
             println!("benchmarks:");
             for b in Benchmark::ALL {
                 println!("  {:<12} {}", b.name(), b.description());
             }
             println!("\npolicies:");
-            for s in [
-                "AutoNUMA",
-                "AutoTiering",
-                "Tiering-0.8",
-                "TPP",
-                "Nimble",
-                "HeMem",
-                "MEMTIS",
-                "MEMTIS-NS",
-                "MEMTIS-Vanilla",
-                "MULTI-CLOCK",
-                "TMTS",
-                "All-NVM",
-                "All-DRAM",
-            ] {
-                println!("  {s}");
+            for s in System::ALL {
+                println!("  {}", s.name());
             }
         }
-        Some("run") => {
-            let Some(bench) = args.get(1).and_then(|s| Benchmark::from_name(s)) else {
-                usage()
-            };
-            let o = parse_opts(&args[2..]);
-            let base = run_baseline(bench, Scale::DEFAULT, o.kind);
-            let r = match &o.trace_out {
-                Some(path) => {
-                    let machine = machine_for(bench, Scale::DEFAULT, o.ratio, o.kind);
-                    let mut driver = driver_config_with_window(o.window);
-                    driver.migration_bw = o.migration_bw;
-                    driver.migration_queue = o.migration_queue;
-                    driver.faults = o.faults;
-                    if let Some(c) = o.chunk {
-                        driver.chunk = c;
-                    }
-                    driver.heartbeat_events = o.heartbeat;
-                    o.modes.apply(&mut driver);
-                    let (r, obs) = match memtis_bench::run_cell_traced_snapshotted(
-                        bench,
-                        Scale::DEFAULT,
-                        machine,
-                        o.policy.build(),
-                        driver,
-                        access_budget(),
-                        SEED,
-                        &o.snap,
-                    ) {
-                        Ok(out) => out,
-                        Err(e) => {
-                            eprintln!("error: run failed: {e:?}");
-                            std::process::exit(1);
-                        }
-                    };
-                    write_trace(path, o.trace_format, &obs, &r.windows);
-                    r
-                }
-                None if o.snap.is_active() => {
-                    let machine = machine_for(bench, Scale::DEFAULT, o.ratio, o.kind);
-                    match memtis_bench::run_cell_snapshotted(
-                        bench,
-                        Scale::DEFAULT,
-                        machine,
-                        o.policy.build(),
-                        o.driver(),
-                        access_budget(),
-                        SEED,
-                        &o.snap,
-                    ) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            eprintln!("error: snapshotted run failed: {e:?}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-                None => run_system_with_driver(
-                    bench,
-                    Scale::DEFAULT,
-                    o.ratio,
-                    o.kind,
-                    o.policy,
-                    o.driver(),
-                ),
-            };
-            println!(
-                "{} on {} at {} ({}):",
-                o.policy.name(),
-                bench.name(),
-                o.ratio.label(),
-                if o.kind == CapacityKind::Cxl {
-                    "CXL"
-                } else {
-                    "NVM"
-                }
-            );
-            println!(
-                "  normalized perf   : {:.3} (vs all-{} w/ THP)",
-                normalized(&base, &r),
-                if o.kind == CapacityKind::Cxl {
-                    "CXL"
-                } else {
-                    "NVM"
-                }
-            );
-            println!("  wall time         : {:.2} ms", r.wall_ns / 1e6);
-            println!("  throughput        : {:.1} M acc/s", r.throughput() / 1e6);
-            println!(
-                "  sim self-thpt     : {:.2} M events/s (host)",
-                r.self_events_per_sec() / 1e6
-            );
-            println!(
-                "  fast-tier hits    : {:.1}%",
-                r.stats.fast_tier_hit_ratio() * 100.0
-            );
-            println!(
-                "  migration traffic : {} 4K pages",
-                r.stats.migration.traffic_4k()
-            );
-            println!("  huge-page splits  : {}", r.stats.migration.splits);
-            println!(
-                "  RSS (peak/final)  : {} / {} MB",
-                r.rss_peak_bytes >> 20,
-                r.rss_final_bytes >> 20
-            );
-            println!("  daemon CPU        : {:.2} cores", r.daemon_core_usage());
-            println!("  app-path overhead : {:.2} ms", r.app_extra_ns / 1e6);
-            if o.faults.is_some() {
-                println!(
-                    "  faults injected   : {} ({:?})",
-                    r.faults.total(),
-                    r.faults
-                );
-                println!("  hist underflows   : {}", r.hist_underflows);
-            }
-            let thpt: Vec<f64> = r.timeline.iter().map(|s| s.window_throughput).collect();
-            let fhr: Vec<f64> = r.timeline.iter().map(|s| s.window_fast_hit_ratio).collect();
-            if !thpt.is_empty() {
-                println!(
-                    "  throughput  (t →) : {}",
-                    memtis_bench::sparkline(&thpt, 48)
-                );
-                println!(
-                    "  fast-hit %  (t →) : {}",
-                    memtis_bench::sparkline(&fhr, 48)
-                );
-            }
-        }
-        Some("record") => run_record(&args[1..]),
-        Some("replay") => run_replay(&args[1..]),
-        Some("diff") => run_diff(&args[1..]),
-        Some("compare") => {
-            let Some(bench) = args.get(1).and_then(|s| Benchmark::from_name(s)) else {
-                usage()
-            };
-            let o = parse_opts(&args[2..]);
-            let base = run_baseline(bench, Scale::DEFAULT, o.kind);
-            let mut t = Table::new(vec![
-                "policy",
-                "normalized",
-                "fast-hit %",
-                "traffic 4K",
-                "splits",
-            ]);
-            let mut rows: Vec<(f64, Vec<String>)> = Vec::new();
-            for sys in System::FIG5 {
-                let r =
-                    run_system_with_driver(bench, Scale::DEFAULT, o.ratio, o.kind, sys, o.driver());
-                let n = normalized(&base, &r);
-                rows.push((
-                    n,
-                    vec![
-                        sys.name().to_string(),
-                        format!("{n:.3}"),
-                        format!("{:.1}", r.stats.fast_tier_hit_ratio() * 100.0),
-                        r.stats.migration.traffic_4k().to_string(),
-                        r.stats.migration.splits.to_string(),
-                    ],
-                ));
-            }
-            rows.sort_by(|a, b| b.0.total_cmp(&a.0));
-            for (_, row) in rows {
-                t.row(row);
-            }
-            println!("{} at {}:\n{}", bench.name(), o.ratio.label(), t.render());
-        }
-        _ => usage(),
+        "run" => run_one(cell(args)),
+        "compare" => run_compare(cell(args)),
+        "record" => run_record(cell(args)),
+        "replay" => run_replay(cell(args)),
+        "diff" => run_diff(args),
+        "" => cli::exit_usage(&CliError::new("<command>", "missing"), USAGE),
+        _ => cli::exit_usage(&CliError::unknown(&cmd), USAGE),
     }
 }

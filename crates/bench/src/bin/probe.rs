@@ -13,9 +13,10 @@
 //! ```
 //!
 //! `<benchmark>` is a full benchmark name in any case (`654.roms`, `silo`),
-//! `<ratio>` one of `1:2`, `1:8`, `1:16`, `2:1`, and `<system>` a Fig. 5
-//! system name. A missing positional takes its default (PageRank, 1:8,
-//! all); an unknown one prints usage and exits 2.
+//! `<ratio>` a tiering ratio `F:C` (e.g. `1:8`, `2:1`), and `<system>` a
+//! system name from `memtis list` in any case. A missing positional takes
+//! its default (PageRank, 1:8, all Fig. 5 systems); an unknown or malformed
+//! argument prints usage and exits 2.
 //!
 //! `--faults` takes a seeded fault plan, e.g.
 //! `seed=7,abort=0.02,dirty=0.05,drop=0.05,outage=400000:50000`
@@ -34,36 +35,30 @@
 //! configured run and continues bit-exactly. Snapshot flags require a
 //! single selected system.
 
+use memtis_bench::cli::{self, Args, CliError};
 use memtis_bench::{
-    access_budget, driver_config_with_window, machine_for, parse_admission, parse_hysteresis,
-    parse_shadow, run_baseline, run_cell_traced, run_system_with_driver, write_trace, CapacityKind,
-    ModeOverrides, Ratio, System, TraceFormat, DEFAULT_WINDOW_EVENTS, SEED,
+    access_budget, driver_config, machine_for, run_baseline, run_cell_traced, run_snapshotted,
+    write_trace, CapacityKind, Ratio, SnapshotOpts, System, TraceFormat, SEED,
 };
-use memtis_workloads::{Benchmark, Scale};
+use memtis_core::{MemtisConfig, MemtisPolicy};
+use memtis_sim::prelude::Simulation;
+use memtis_workloads::{Benchmark, Scale, SpecStream};
 
-fn probe_memtis(
-    bench: Benchmark,
-    ratio: Ratio,
-    scale: Scale,
-    driver: memtis_sim::prelude::DriverConfig,
-) {
-    use memtis_core::{MemtisConfig, MemtisPolicy};
-    use memtis_sim::prelude::Simulation;
-    use memtis_workloads::SpecStream;
-    let machine = memtis_bench::machine_for(bench, scale, ratio, CapacityKind::Nvm);
-    let mut wl = SpecStream::new(bench.spec(scale, memtis_bench::access_budget()), SEED);
-    let mut sim = Simulation::new(
-        machine,
-        MemtisPolicy::new(MemtisConfig::sim_scaled()),
-        driver,
-    );
-    let _ = sim.run(&mut wl).unwrap();
-    let p = sim.policy();
+const USAGE: &str = "usage: probe [<benchmark>] [<ratio>] [<system>|all] [--test-scale] \
+     [--trace-out PATH] [--trace-format jsonl|perfetto] [--window EVENTS] \
+     [--report-out PATH] [--heartbeat EVENTS] [--migration-bw BYTES_PER_NS] \
+     [--migration-queue DEPTH] [--faults SPEC] [--chunk N] \
+     [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off] \
+     [--hysteresis on|off|WINDOW:BASE:MAX] \
+     [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]";
+
+/// MEMTIS's internal counters, thresholds and histograms after a run.
+fn memtis_internals(p: &MemtisPolicy) -> String {
     let st = &p.stats;
-    println!(
+    format!(
         "  memtis internals: samples={} adapts={} coolings={} estimates={} \
          rhr={:.3} ehr={:.3} candidates={} requested={} splits={} collapses={} \
-         thr={:?} base_thr={:?} period={}",
+         thr={:?} base_thr={:?} period={}\n  page hist: {:?}\n  base hist: {:?}",
         st.samples,
         st.adaptations,
         st.coolings,
@@ -81,265 +76,100 @@ fn probe_memtis(
             p.base_thresholds().cold
         ),
         p.load_period(),
-    );
-    println!("  page hist: {:?}", p.histogram().bins());
-    println!("  base hist: {:?}", p.base_histogram().bins());
+        p.histogram().bins(),
+        p.base_histogram().bins(),
+    )
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: probe [<benchmark>] [<ratio>] [<system>|all] [--test-scale] \
-         [--trace-out PATH] [--trace-format jsonl|perfetto] [--window EVENTS] \
-         [--report-out PATH] [--heartbeat EVENTS] [--migration-bw BYTES_PER_NS] \
-         [--migration-queue DEPTH] [--faults SPEC] [--chunk N] \
-         [--admission on|off|HORIZON[:WINDOW]] [--shadow on|off] \
-         [--hysteresis on|off|WINDOW:BASE:MAX] \
-         [--snapshot-out PATH --snapshot-every EVENTS] [--resume PATH]\n\
-         benchmarks: {}; ratios: 1:2 1:8 1:16 2:1; systems: all {}",
-        Benchmark::ALL.map(|b| b.name()).join(" "),
-        System::FIG5.map(|s| s.name()).join(" "),
-    );
-    std::process::exit(2);
+struct Opts {
+    bench: Benchmark,
+    ratio: Ratio,
+    systems: Vec<System>,
+    scale: Scale,
+    trace_out: Option<String>,
+    trace_format: TraceFormat,
+    report_out: Option<String>,
+    driver: memtis_sim::prelude::DriverConfig,
+    snap: SnapshotOpts,
 }
 
-/// Resolves an optional positional: `None` keeps `default`, a value
-/// `parse` rejects prints usage.
-fn positional_or<T>(arg: Option<&String>, default: T, parse: impl Fn(&str) -> Option<T>) -> T {
-    match arg {
-        None => default,
-        Some(s) => parse(s).unwrap_or_else(|| {
-            eprintln!("error: unknown argument {s:?}");
-            usage()
-        }),
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut positional: Vec<String> = Vec::new();
-    let mut trace_out: Option<String> = None;
-    let mut trace_format = TraceFormat::Jsonl;
-    let mut window = DEFAULT_WINDOW_EVENTS;
-    let mut scale = Scale::DEFAULT;
-    let mut migration_bw: Option<f64> = None;
-    let mut migration_queue: Option<usize> = None;
-    let mut faults: Option<memtis_sim::faults::FaultPlan> = None;
-    let mut chunk: Option<usize> = None;
-    let mut report_out: Option<String> = None;
-    let mut heartbeat: Option<u64> = None;
-    let mut modes = ModeOverrides::default();
-    let mut snap = memtis_bench::SnapshotOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trace-out" => {
-                trace_out = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--snapshot-out" => {
-                snap.out = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--snapshot-every" => {
-                snap.every = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--resume" => {
-                snap.resume = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--report-out" => {
-                report_out = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--heartbeat" => {
-                heartbeat = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--trace-format" => {
-                trace_format = match args.get(i + 1).and_then(|s| TraceFormat::parse(s)) {
-                    Some(f) => f,
-                    None => {
-                        eprintln!("error: --trace-format must be jsonl or perfetto");
-                        std::process::exit(2);
-                    }
-                };
-                i += 2;
-            }
-            "--window" => {
-                window = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(DEFAULT_WINDOW_EVENTS);
-                i += 2;
-            }
-            "--test-scale" => {
-                scale = Scale::TEST;
-                i += 1;
-            }
-            "--migration-bw" => {
-                migration_bw = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--migration-queue" => {
-                migration_queue = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--chunk" => {
-                chunk = args.get(i + 1).and_then(|s| s.parse().ok());
-                i += 2;
-            }
-            "--admission" => {
-                match args.get(i + 1).map(|s| parse_admission(s)) {
-                    Some(Ok(a)) => modes.admission = Some(a),
-                    Some(Err(e)) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("error: --admission needs on|off|HORIZON[:WINDOW]");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--shadow" => {
-                match args.get(i + 1).map(|s| parse_shadow(s)) {
-                    Some(Ok(s)) => modes.shadow = Some(s),
-                    Some(Err(e)) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("error: --shadow needs on|off");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--hysteresis" => {
-                match args.get(i + 1).map(|s| parse_hysteresis(s)) {
-                    Some(Ok(h)) => modes.hysteresis = Some(h),
-                    Some(Err(e)) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("error: --hysteresis needs on|off|WINDOW:BASE:MAX");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--faults" => {
-                match args
-                    .get(i + 1)
-                    .map(|s| memtis_sim::faults::FaultPlan::parse(s))
-                {
-                    Some(Ok(plan)) => faults = Some(plan),
-                    Some(Err(e)) => {
-                        eprintln!("error: bad --faults spec: {e}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("error: --faults needs a spec");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            other => {
-                positional.push(other.to_string());
-                i += 1;
-            }
-        }
-    }
-    let bench = positional_or(
-        positional.first(),
-        Benchmark::PageRank,
-        Benchmark::from_name,
-    );
-    let ratio = positional_or(
-        positional.get(1),
-        Ratio {
+fn parse(mut args: Args) -> Result<Opts, CliError> {
+    let mut o = Opts {
+        bench: Benchmark::PageRank,
+        ratio: Ratio {
             fast: 1,
             capacity: 8,
         },
-        |s| match s {
-            "1:2" => Some(Ratio {
-                fast: 1,
-                capacity: 2,
-            }),
-            "1:8" => Some(Ratio {
-                fast: 1,
-                capacity: 8,
-            }),
-            "1:16" => Some(Ratio {
-                fast: 1,
-                capacity: 16,
-            }),
-            "2:1" => Some(Ratio::TWO_TO_ONE),
-            _ => None,
-        },
-    );
-    let systems: Vec<System> = positional_or(positional.get(2), System::FIG5.to_vec(), |name| {
-        if name == "all" {
-            return Some(System::FIG5.to_vec());
+        systems: System::FIG5.to_vec(),
+        scale: Scale::DEFAULT,
+        trace_out: None,
+        trace_format: TraceFormat::Jsonl,
+        report_out: None,
+        driver: driver_config(),
+        snap: SnapshotOpts::default(),
+    };
+    let mut positional = 0;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--test-scale" => o.scale = Scale::TEST,
+            "--trace-out" => o.trace_out = Some(args.value(&arg)?),
+            "--trace-format" => o.trace_format = args.value_with(&arg, TraceFormat::parse)?,
+            "--report-out" => o.report_out = Some(args.value(&arg)?),
+            f if cli::run_flag(&mut args, f, &cli::RUN_FLAGS, &mut o.driver, &mut o.snap)? => {}
+            f if f.starts_with("--") => return Err(CliError::unknown(f)),
+            value => {
+                let slot = ["<benchmark>", "<ratio>", "<system>"].get(positional);
+                let Some(&slot) = slot else {
+                    return Err(CliError::new(value, "unexpected argument"));
+                };
+                let bad = |e| CliError::new(slot, e);
+                match positional {
+                    0 => o.bench = cli::benchmark(value).map_err(bad)?,
+                    1 => o.ratio = Ratio::parse(value).map_err(bad)?,
+                    _ if value == "all" => {}
+                    _ => o.systems = vec![cli::system(value).map_err(bad)?],
+                }
+                positional += 1;
+            }
         }
-        System::FIG5
-            .into_iter()
-            .find(|s| s.name().eq_ignore_ascii_case(name))
-            .map(|s| vec![s])
-    });
-    if positional.len() > 3 {
-        eprintln!("error: unexpected argument {:?}", positional[3]);
-        usage();
     }
-    let mut driver = memtis_bench::driver_config();
-    driver.migration_bw = migration_bw;
-    driver.migration_queue = migration_queue;
-    driver.faults = faults;
-    if let Some(c) = chunk {
-        driver.chunk = c;
+    o.snap.validate()?;
+    if o.snap.is_active() && o.systems.len() != 1 {
+        return Err(CliError::new(
+            "<system>",
+            "snapshot flags need a single selected system (not `all`)",
+        ));
     }
-    driver.heartbeat_events = heartbeat;
-    modes.apply(&mut driver);
-    if let Err(e) = snap.validate() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
-    if snap.is_active() && systems.len() != 1 {
-        eprintln!("error: snapshot flags need a single selected system (not `all`)");
-        std::process::exit(2);
-    }
-    let base = run_baseline(bench, scale, CapacityKind::Nvm);
+    Ok(o)
+}
+
+fn main() {
+    let o = parse(Args::from_env()).unwrap_or_else(|e| cli::exit_usage(&e, USAGE));
+    let (bench, scale, accesses) = (o.bench, o.scale, access_budget());
+    let base = run_baseline(bench, scale, CapacityKind::Nvm, accesses);
     println!(
         "baseline all-NVM: wall={:.2}ms thpt={:.1}M/s llc_miss={:.3}",
         base.wall_ns / 1e6,
         base.throughput() / 1e6,
         base.llc.miss_ratio()
     );
-    for &sys in &systems {
-        let r = if snap.is_active() {
-            let machine = machine_for(bench, scale, ratio, CapacityKind::Nvm);
-            match memtis_bench::run_cell_snapshotted(
-                bench,
-                scale,
-                machine,
-                sys.build(),
-                driver.clone(),
-                access_budget(),
-                SEED,
-                &snap,
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: snapshotted run failed: {e:?}");
-                    std::process::exit(1);
-                }
-            }
+    for &sys in &o.systems {
+        let machine = machine_for(bench, scale, o.ratio, CapacityKind::Nvm);
+        let mut wl = SpecStream::new(bench.spec(scale, accesses), SEED);
+        let driver = o.driver.clone();
+        // MEMTIS runs as the concrete policy so its internals print from
+        // this same run.
+        let (r, internals) = if sys == System::Memtis {
+            let policy = MemtisPolicy::new(MemtisConfig::sim_scaled());
+            let mut sim = Simulation::new(machine, policy, driver);
+            let r = cli::run_or_exit(run_snapshotted(&mut sim, &mut wl, &o.snap));
+            (r, Some(memtis_internals(sim.policy())))
         } else {
-            run_system_with_driver(bench, scale, ratio, CapacityKind::Nvm, sys, driver.clone())
+            let mut sim = Simulation::new(machine, sys.build(), driver);
+            (
+                cli::run_or_exit(run_snapshotted(&mut sim, &mut wl, &o.snap)),
+                None,
+            )
         };
         println!(
             "{:<12} norm={:.3} wall={:.2}ms app_extra={:.2}ms daemon={:.2}ms dcores={:.2} \
@@ -362,45 +192,36 @@ fn main() {
             r.llc.miss_ratio(),
             r.app_access_ns / r.accesses as f64,
         );
-        if faults.is_some() {
+        if o.driver.faults.is_some() {
             println!(
                 "  faults: {:?} hist_underflows={}",
                 r.faults, r.hist_underflows
             );
         }
-        if sys == System::Memtis {
-            probe_memtis(bench, ratio, scale, driver.clone());
+        if let Some(internals) = internals {
+            println!("{internals}");
         }
     }
 
-    if trace_out.is_some() || report_out.is_some() {
-        let sys = systems.first().copied().unwrap_or(System::Memtis);
-        let machine = machine_for(bench, scale, ratio, CapacityKind::Nvm);
-        let mut traced_driver = driver_config_with_window(window);
-        traced_driver.migration_bw = migration_bw;
-        traced_driver.migration_queue = migration_queue;
-        traced_driver.faults = faults;
-        if let Some(c) = chunk {
-            traced_driver.chunk = c;
-        }
-        traced_driver.heartbeat_events = heartbeat;
-        modes.apply(&mut traced_driver);
+    if o.trace_out.is_some() || o.report_out.is_some() {
+        let sys = o.systems[0];
+        let machine = machine_for(bench, scale, o.ratio, CapacityKind::Nvm);
         let (report, obs) = run_cell_traced(
             bench,
             scale,
             machine,
             sys.build(),
-            traced_driver,
-            access_budget(),
+            o.driver.clone(),
+            accesses,
             SEED,
         );
-        if let Some(path) = trace_out {
-            write_trace(&path, trace_format, &obs, &report.windows);
+        if let Some(path) = &o.trace_out {
+            write_trace(path, o.trace_format, &obs, &report.windows);
         }
-        if let Some(path) = report_out {
+        if let Some(path) = &o.report_out {
             let profile = obs.profiler.as_ref().map(|p| p.stats());
             let body = memtis_bench::report_to_json(&report, profile.as_deref());
-            match std::fs::write(&path, body) {
+            match std::fs::write(path, body) {
                 Ok(()) => println!("[report written to {path}]"),
                 Err(e) => eprintln!("warning: could not write report {path}: {e}"),
             }

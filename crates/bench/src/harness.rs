@@ -5,6 +5,7 @@
 //! (relative to all-NVM-with-THP, as in every paper figure), and geometric
 //! means.
 
+use crate::cli::CliError;
 use memtis_baselines::{
     AutoNumaConfig, AutoNumaPolicy, AutoTieringConfig, AutoTieringPolicy, HememConfig, HememPolicy,
     MultiClockConfig, MultiClockPolicy, NimbleConfig, NimblePolicy, StaticPolicy, Tiering08Config,
@@ -75,7 +76,9 @@ impl Ratio {
 
     /// Fast-tier bytes for a workload of `rss` bytes.
     pub fn fast_bytes(&self, rss: u64) -> u64 {
-        (rss * self.fast as u64 / (self.fast + self.capacity) as u64).max(2 * HUGE_PAGE_SIZE)
+        // u128 so no ratio term can overflow the product or the sum.
+        let (fast, total) = (self.fast as u128, self.fast as u128 + self.capacity as u128);
+        ((rss as u128 * fast / total) as u64).max(2 * HUGE_PAGE_SIZE)
     }
 
     /// Label like "1:8".
@@ -134,96 +137,6 @@ pub fn driver_config_with_window(window_events: u64) -> DriverConfig {
         faults: None,
         chunk: DEFAULT_CHUNK,
         heartbeat_events: None,
-    }
-}
-
-/// Engine-mode overrides shared by the bench CLIs (`--admission`,
-/// `--shadow`, `--hysteresis`). Mirrors the [`DriverConfig`] override
-/// fields: `None` keeps the machine config's setting, `Some(None)` /
-/// `Some(false)` forces a mode off, `Some(Some(cfg))` / `Some(true)` turns
-/// it on.
-#[derive(Debug, Clone, Default)]
-pub struct ModeOverrides {
-    /// Payback-based admission control (TierBPF-style).
-    pub admission: Option<Option<AdmissionConfig>>,
-    /// Non-exclusive transactional (shadow) migration (Nomad-style).
-    pub shadow: Option<bool>,
-    /// Anti-thrashing promotion hysteresis (Jenga-style).
-    pub hysteresis: Option<Option<HysteresisConfig>>,
-}
-
-impl ModeOverrides {
-    /// Copies the overrides into a driver config.
-    pub fn apply(&self, driver: &mut DriverConfig) {
-        driver.admission = self.admission.clone();
-        driver.shadow = self.shadow;
-        driver.hysteresis = self.hysteresis.clone();
-    }
-
-    /// True when any override is set (used for CLI banners).
-    pub fn any(&self) -> bool {
-        self.admission.is_some() || self.shadow.is_some() || self.hysteresis.is_some()
-    }
-}
-
-/// Parses an `--admission` spec: `on` (defaults), `off` (force off), or
-/// `HORIZON_NS[:WINDOW_NS]` in sim nanoseconds (floats accepted, e.g.
-/// `5e7:1e6`).
-pub fn parse_admission(spec: &str) -> Result<Option<AdmissionConfig>, String> {
-    match spec {
-        "on" | "default" => Ok(Some(AdmissionConfig::default())),
-        "off" => Ok(None),
-        _ => {
-            let mut cfg = AdmissionConfig::default();
-            let (horizon, window) = match spec.split_once(':') {
-                Some((h, w)) => (h, Some(w)),
-                None => (spec, None),
-            };
-            cfg.horizon_ns = horizon
-                .parse()
-                .map_err(|_| format!("bad admission horizon {horizon:?}"))?;
-            if let Some(w) = window {
-                cfg.window_ns = w
-                    .parse()
-                    .map_err(|_| format!("bad admission window {w:?}"))?;
-            }
-            Ok(Some(cfg))
-        }
-    }
-}
-
-/// Parses a `--shadow` spec: `on` or `off`.
-pub fn parse_shadow(spec: &str) -> Result<bool, String> {
-    match spec {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        _ => Err(format!("bad shadow spec {spec:?} (want on|off)")),
-    }
-}
-
-/// Parses a `--hysteresis` spec: `on` (defaults), `off` (force off), or
-/// `WINDOW_NS:BASE_BACKOFF_NS:MAX_BACKOFF_NS` in sim nanoseconds.
-pub fn parse_hysteresis(spec: &str) -> Result<Option<HysteresisConfig>, String> {
-    match spec {
-        "on" | "default" => Ok(Some(HysteresisConfig::default())),
-        "off" => Ok(None),
-        _ => {
-            let parts: Vec<&str> = spec.split(':').collect();
-            if parts.len() != 3 {
-                return Err(format!(
-                    "bad hysteresis spec {spec:?} (want on|off|WINDOW:BASE:MAX)"
-                ));
-            }
-            let parse = |s: &str, what: &str| -> Result<f64, String> {
-                s.parse()
-                    .map_err(|_| format!("bad hysteresis {what} {s:?}"))
-            };
-            Ok(Some(HysteresisConfig {
-                window_ns: parse(parts[0], "window")?,
-                base_backoff_ns: parse(parts[1], "base backoff")?,
-                max_backoff_ns: parse(parts[2], "max backoff")?,
-            }))
-        }
     }
 }
 
@@ -358,22 +271,6 @@ pub fn run_cell_seeded(
     sim.run(&mut wl).expect("experiment run failed")
 }
 
-/// Runs one cell with a concrete policy under a [`TracingObserver`],
-/// returning the report and the observer (ring + registry) for export.
-pub fn run_sim_traced<P: TieringPolicy>(
-    bench: Benchmark,
-    scale: Scale,
-    machine: MachineConfig,
-    policy: P,
-    driver: DriverConfig,
-    accesses: u64,
-) -> (RunReport, TracingObserver) {
-    let mut wl = SpecStream::new(bench.spec(scale, accesses), SEED);
-    let mut sim = Simulation::with_observer(machine, policy, driver, TracingObserver::new());
-    let report = sim.run(&mut wl).expect("experiment run failed");
-    (report, sim.into_observer())
-}
-
 /// Runs one experiment cell with a boxed policy under a
 /// [`TracingObserver`], returning the report and the observer.
 pub fn run_cell_traced(
@@ -419,11 +316,11 @@ impl SnapshotOpts {
     }
 
     /// Rejects flag combinations that cannot do anything useful.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), CliError> {
         match (self.every, &self.out) {
-            (Some(0), _) => Err("--snapshot-every must be > 0".into()),
-            (Some(_), None) => Err("--snapshot-every needs --snapshot-out".into()),
-            (None, Some(_)) => Err("--snapshot-out needs --snapshot-every".into()),
+            (Some(0), _) => Err(CliError::new("--snapshot-every", "must be > 0")),
+            (Some(_), None) => Err(CliError::new("--snapshot-every", "needs --snapshot-out")),
+            (None, Some(_)) => Err(CliError::new("--snapshot-out", "needs --snapshot-every")),
             _ => Ok(()),
         }
     }
@@ -479,44 +376,6 @@ pub fn run_snapshotted<P: TieringPolicy, O: Observer>(
     }
 }
 
-/// Runs one experiment cell with a boxed policy under a checkpoint
-/// schedule (see [`run_snapshotted`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_snapshotted(
-    bench: Benchmark,
-    scale: Scale,
-    machine: MachineConfig,
-    policy: Box<dyn TieringPolicy>,
-    driver: DriverConfig,
-    accesses: u64,
-    seed: u64,
-    opts: &SnapshotOpts,
-) -> SimResult<RunReport> {
-    let mut wl = SpecStream::new(bench.spec(scale, accesses), seed);
-    let mut sim = Simulation::new(machine, policy, driver);
-    run_snapshotted(&mut sim, &mut wl, opts)
-}
-
-/// [`run_cell_traced`] under a checkpoint schedule: the tracing observer's
-/// ring and registry are themselves part of the snapshot, so a resumed
-/// traced run exports the same trace as an uninterrupted one.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_traced_snapshotted(
-    bench: Benchmark,
-    scale: Scale,
-    machine: MachineConfig,
-    policy: Box<dyn TieringPolicy>,
-    driver: DriverConfig,
-    accesses: u64,
-    seed: u64,
-    opts: &SnapshotOpts,
-) -> SimResult<(RunReport, TracingObserver)> {
-    let mut wl = SpecStream::new(bench.spec(scale, accesses), seed);
-    let mut sim = Simulation::with_observer(machine, policy, driver, TracingObserver::new());
-    let report = run_snapshotted(&mut sim, &mut wl, opts)?;
-    Ok((report, sim.into_observer()))
-}
-
 /// Trace export format selected by `--trace-format`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFormat {
@@ -528,11 +387,11 @@ pub enum TraceFormat {
 
 impl TraceFormat {
     /// Parses a `--trace-format` value.
-    pub fn parse(s: &str) -> Option<Self> {
+    pub fn parse(s: &str) -> Result<Self, String> {
         match s.to_ascii_lowercase().as_str() {
-            "jsonl" => Some(TraceFormat::Jsonl),
-            "perfetto" => Some(TraceFormat::Perfetto),
-            _ => None,
+            "jsonl" => Ok(TraceFormat::Jsonl),
+            "perfetto" => Ok(TraceFormat::Perfetto),
+            _ => Err(format!("bad trace format {s:?} (want jsonl|perfetto)")),
         }
     }
 
@@ -572,33 +431,25 @@ pub fn run_system(
     kind: CapacityKind,
     system: System,
 ) -> RunReport {
-    run_system_with_driver(bench, scale, ratio, kind, system, driver_config())
-}
-
-/// [`run_system`] with an explicit driver configuration (e.g. migration
-/// bandwidth/queue overrides from the CLI).
-pub fn run_system_with_driver(
-    bench: Benchmark,
-    scale: Scale,
-    ratio: Ratio,
-    kind: CapacityKind,
-    system: System,
-    driver: DriverConfig,
-) -> RunReport {
     let machine = machine_for(bench, scale, ratio, kind);
     run_cell(
         bench,
         scale,
         machine,
         system.build(),
-        driver,
+        driver_config(),
         access_budget(),
     )
 }
 
 /// Runs the all-NVM baseline for `bench` (the paper's normalization base:
-/// everything on the capacity tier, with THP).
-pub fn run_baseline(bench: Benchmark, scale: Scale, kind: CapacityKind) -> RunReport {
+/// everything on the capacity tier, with THP) over `accesses` accesses.
+pub fn run_baseline(
+    bench: Benchmark,
+    scale: Scale,
+    kind: CapacityKind,
+    accesses: u64,
+) -> RunReport {
     // A minimal fast tier that the All-NVM policy never uses.
     let rss = bench.spec(scale, 1).total_bytes();
     let capacity = rss * 2 + 64 * HUGE_PAGE_SIZE;
@@ -613,7 +464,7 @@ pub fn run_baseline(bench: Benchmark, scale: Scale, kind: CapacityKind) -> RunRe
         machine,
         System::AllNvm.build(),
         driver_config(),
-        access_budget(),
+        accesses,
     )
 }
 
@@ -657,21 +508,7 @@ mod tests {
 
     #[test]
     fn every_system_builds() {
-        for s in [
-            System::AutoNuma,
-            System::AutoTiering,
-            System::Tiering08,
-            System::Tpp,
-            System::Nimble,
-            System::Hemem,
-            System::Memtis,
-            System::MemtisNs,
-            System::MemtisVanilla,
-            System::MultiClock,
-            System::Tmts,
-            System::AllNvm,
-            System::AllDram,
-        ] {
+        for s in System::ALL {
             let p = s.build();
             assert!(!p.descriptor().name.is_empty());
         }
@@ -681,7 +518,7 @@ mod tests {
     fn smoke_run_one_cell() {
         std::env::set_var("MEMTIS_ACCESSES", "20000");
         let scale = Scale::TEST;
-        let base = run_baseline(Benchmark::Roms, scale, CapacityKind::Nvm);
+        let base = run_baseline(Benchmark::Roms, scale, CapacityKind::Nvm, access_budget());
         let r = run_system(
             Benchmark::Roms,
             scale,

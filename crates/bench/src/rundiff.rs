@@ -8,6 +8,7 @@
 //! `memtis diff old.json new.json --tol 0.1 --tol throughput=0.05
 //! --ignore 'host.*'` exits nonzero when any key moved outside its band.
 
+use crate::cli::{Args, CliError};
 use memtis_sim::obs::json::{escape, fmt_f64, Json};
 use memtis_sim::obs::SpanStat;
 use memtis_sim::prelude::RunReport;
@@ -404,53 +405,40 @@ pub fn render_diff(d: &DiffReport) -> String {
 }
 
 /// Parses `diff` CLI arguments (after the subcommand) into file paths and
-/// options. Returns an error string on malformed flags.
-pub fn parse_diff_args(args: &[String]) -> Result<(String, String, DiffOptions), String> {
+/// options. A malformed or unknown flag, a negative or non-finite
+/// tolerance, or other than two files is an error.
+pub fn parse_diff_args(args: Args) -> Result<(String, String, DiffOptions), CliError> {
+    let tolerance = |s: &str| match s.parse::<f64>() {
+        Ok(t) if t.is_finite() && t >= 0.0 => Ok(t),
+        _ => Err(format!("bad tolerance {s:?} (want a finite fraction >= 0)")),
+    };
+    let mut args = args;
     let mut files = Vec::new();
     let mut opts = DiffOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--tol" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| "--tol needs a value".to_string())?;
+                let v: String = args.value(&arg)?;
                 match v.split_once('=') {
                     Some((key, frac)) => {
-                        let t: f64 = frac
-                            .parse()
-                            .map_err(|_| format!("bad tolerance {frac:?}"))?;
+                        let t = tolerance(frac).map_err(|e| CliError::new(&arg, e))?;
                         opts.per_key.push((key.to_string(), t));
                     }
-                    None => {
-                        opts.tol = v.parse().map_err(|_| format!("bad tolerance {v:?}"))?;
-                    }
+                    None => opts.tol = tolerance(&v).map_err(|e| CliError::new(&arg, e))?,
                 }
-                i += 2;
             }
-            "--ignore" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| "--ignore needs a glob".to_string())?;
-                opts.ignore.push(v.clone());
-                i += 2;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag {flag}"));
-            }
-            path => {
-                files.push(path.to_string());
-                i += 1;
-            }
+            "--ignore" => opts.ignore.push(args.value(&arg)?),
+            flag if flag.starts_with("--") => return Err(CliError::unknown(flag)),
+            _ => files.push(arg),
         }
     }
-    if files.len() != 2 {
-        return Err(format!(
-            "expected exactly two report files, got {}",
-            files.len()
-        ));
+    match <[String; 2]>::try_from(files) {
+        Ok([old, new]) => Ok((old, new, opts)),
+        Err(files) => Err(CliError::new(
+            "<old.json> <new.json>",
+            format!("expected exactly two report files, got {}", files.len()),
+        )),
     }
-    Ok((files.remove(0), files.remove(0), opts))
 }
 
 #[cfg(test)]
@@ -548,14 +536,15 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let (a, b, opts) = parse_diff_args(&args).unwrap();
+        let (a, b, opts) = parse_diff_args(Args::new(args)).unwrap();
         assert_eq!(a, "a.json");
         assert_eq!(b, "b.json");
         assert_eq!(opts.tol, 0.1);
         assert_eq!(opts.per_key, vec![("throughput".to_string(), 0.02)]);
         assert_eq!(opts.ignore, vec!["host.*".to_string()]);
-        assert!(parse_diff_args(&["one.json".to_string()]).is_err());
-        assert!(parse_diff_args(&["a".into(), "b".into(), "--bogus".into()]).is_err());
+        assert!(parse_diff_args(Args::new(["one.json"])).is_err());
+        assert!(parse_diff_args(Args::new(["a", "b", "--bogus"])).is_err());
+        assert!(parse_diff_args(Args::new(["a", "b", "--tol", "NaN"])).is_err());
     }
 
     #[test]

@@ -16,12 +16,9 @@
 //! `BENCH_<name>.json` perf record (aggregate simulator events/sec, per-job
 //! scaling efficiency) via [`emit_bench_json`].
 
-use crate::harness::{
-    driver_config_with_window, machine_for, run_cell_seeded, CapacityKind, ModeOverrides, Ratio,
-    System, DEFAULT_WINDOW_EVENTS, SEED,
-};
+use crate::harness::{machine_for, run_cell_seeded, CapacityKind, Ratio, System, SEED};
 use crate::report::{emit, emit_bench_json, Table};
-use memtis_sim::prelude::{Fnv1a, RunReport, DEFAULT_CHUNK};
+use memtis_sim::prelude::{DriverConfig, Fnv1a, RunReport};
 use memtis_workloads::{Benchmark, Scale};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -108,38 +105,9 @@ pub struct SweepConfig {
     pub scale: Scale,
     /// Access budget per cell.
     pub accesses: u64,
-    /// Telemetry window length in workload events.
-    pub window_events: u64,
-    /// Migration-link bandwidth cap (bytes/ns) applied to every cell;
-    /// `None` keeps instantaneous migration.
-    pub migration_bw: Option<f64>,
-    /// Migration admission-queue depth override applied to every cell.
-    pub migration_queue: Option<usize>,
-    /// Seeded fault plan applied to every cell; `None` runs fault-free.
-    pub faults: Option<memtis_sim::faults::FaultPlan>,
-    /// Driver chunk size; `0`/`1` forces the legacy per-event loop.
-    pub chunk: usize,
-    /// Engine-mode overrides (`--admission`/`--shadow`/`--hysteresis`)
-    /// applied to every cell; defaults leave every machine config as-is.
-    pub modes: ModeOverrides,
-}
-
-impl SweepConfig {
-    /// Defaults: one job, default scale, the harness access budget, and the
-    /// default telemetry window.
-    pub fn new(jobs: usize, scale: Scale, accesses: u64) -> Self {
-        SweepConfig {
-            jobs,
-            scale,
-            accesses,
-            window_events: DEFAULT_WINDOW_EVENTS,
-            migration_bw: None,
-            migration_queue: None,
-            faults: None,
-            chunk: DEFAULT_CHUNK,
-            modes: ModeOverrides::default(),
-        }
-    }
+    /// Driver configuration (window, migration, faults, chunking, engine
+    /// modes) shared by every cell.
+    pub driver: DriverConfig,
 }
 
 /// One finished cell.
@@ -196,18 +164,12 @@ impl SweepResult {
 /// Runs one cell (helper shared by the parallel runner and tests).
 pub fn run_sweep_cell(cell: SweepCell, cfg: &SweepConfig) -> RunReport {
     let machine = machine_for(cell.bench, cfg.scale, cell.ratio, cell.kind);
-    let mut driver = driver_config_with_window(cfg.window_events);
-    driver.migration_bw = cfg.migration_bw;
-    driver.migration_queue = cfg.migration_queue;
-    driver.faults = cfg.faults;
-    driver.chunk = cfg.chunk;
-    cfg.modes.apply(&mut driver);
     run_cell_seeded(
         cell.bench,
         cfg.scale,
         machine,
         cell.system.build(),
-        driver,
+        cfg.driver.clone(),
         cfg.accesses,
         cell.seed(),
     )
@@ -380,12 +342,7 @@ mod tests {
             jobs,
             scale: Scale::TEST,
             accesses: 4_000,
-            window_events: 1_000,
-            migration_bw: None,
-            migration_queue: None,
-            faults: None,
-            chunk: DEFAULT_CHUNK,
-            modes: ModeOverrides::default(),
+            driver: crate::harness::driver_config_with_window(1_000),
         }
     }
 

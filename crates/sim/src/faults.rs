@@ -117,7 +117,8 @@ impl FaultPlan {
     ///
     /// Keys: `seed=N`, `abort=P`, `dirty=P`, `drop=P`, `dup=P`, `skip=P`,
     /// `delay=P`, `delay-ns=NS`, `outage=PERIOD:DURATION` (ns),
-    /// `pressure=PERIOD:DURATION:BYTES`.
+    /// `pressure=PERIOD:DURATION:BYTES`. Periods must be finite and at
+    /// least 1 ns; durations and `delay-ns` finite and non-negative.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for part in spec.split(',').filter(|s| !s.trim().is_empty()) {
@@ -145,20 +146,14 @@ impl FaultPlan {
                 "dup" => prob(&mut plan.sample_dup)?,
                 "skip" => prob(&mut plan.tick_skip)?,
                 "delay" => prob(&mut plan.tick_delay)?,
-                "delay-ns" => {
-                    plan.tick_delay_ns = value
-                        .parse()
-                        .map_err(|_| format!("bad delay-ns {value:?}"))?;
-                }
+                "delay-ns" => plan.tick_delay_ns = sim_ns(value, "delay-ns", 0.0)?,
                 "outage" => {
                     let (p, d) = value
                         .split_once(':')
                         .ok_or_else(|| format!("outage wants PERIOD:DURATION, got {value:?}"))?;
                     plan.outage = Some(OutageSpec {
-                        period_ns: p.parse().map_err(|_| format!("bad outage period {p:?}"))?,
-                        duration_ns: d
-                            .parse()
-                            .map_err(|_| format!("bad outage duration {d:?}"))?,
+                        period_ns: sim_ns(p, "outage period", 1.0)?,
+                        duration_ns: sim_ns(d, "outage duration", 0.0)?,
                     });
                 }
                 "pressure" => {
@@ -172,12 +167,8 @@ impl FaultPlan {
                         }
                     };
                     plan.pressure = Some(PressureSpec {
-                        period_ns: p
-                            .parse()
-                            .map_err(|_| format!("bad pressure period {p:?}"))?,
-                        duration_ns: d
-                            .parse()
-                            .map_err(|_| format!("bad pressure duration {d:?}"))?,
+                        period_ns: sim_ns(p, "pressure period", 1.0)?,
+                        duration_ns: sim_ns(d, "pressure duration", 0.0)?,
                         bytes: b.parse().map_err(|_| format!("bad pressure bytes {b:?}"))?,
                     });
                 }
@@ -185,6 +176,19 @@ impl FaultPlan {
             }
         }
         Ok(plan)
+    }
+}
+
+/// Parses a finite simulated-time figure of at least `min` ns. Outage and
+/// pressure periods take `min = 1`: the injector steps its schedule one
+/// period at a time, so a zero, negative or vanishing period would never
+/// advance past the current instant. Durations and delays take `min = 0`.
+fn sim_ns(value: &str, what: &str, min: f64) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(v) if v.is_finite() && v >= min => Ok(v),
+        _ => Err(format!(
+            "bad {what} {value:?} (want a finite number >= {min} ns)"
+        )),
     }
 }
 
@@ -564,6 +568,32 @@ mod tests {
         assert!(FaultPlan::parse("nope=1").is_err());
         assert!(FaultPlan::parse("outage=123").is_err());
         assert!(FaultPlan::parse("pressure=1:2").is_err());
+        // Schedules that could never advance past the current instant.
+        for spec in [
+            "outage=0:1000",
+            "outage=-5:1000",
+            "outage=NaN:1000",
+            "outage=inf:1000",
+            "outage=1e-300:1000",
+            "pressure=0:1000:4096",
+            "pressure=-5:1000:4096",
+            "pressure=inf:1000:4096",
+        ] {
+            assert!(FaultPlan::parse(spec).is_err(), "{spec} accepted");
+        }
+        // Negative or non-finite durations and delays.
+        for spec in [
+            "outage=1000:-1",
+            "outage=1000:NaN",
+            "pressure=1000:-1:4096",
+            "pressure=1000:inf:4096",
+            "delay-ns=-1",
+            "delay-ns=NaN",
+            "delay-ns=inf",
+        ] {
+            assert!(FaultPlan::parse(spec).is_err(), "{spec} accepted");
+        }
+        assert!(FaultPlan::parse("outage=1000:0,delay-ns=0").is_ok());
     }
 
     #[test]
