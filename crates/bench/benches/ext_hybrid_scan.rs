@@ -33,7 +33,7 @@ fn main() {
             machine_for(bench, scale, ratio, CapacityKind::Nvm),
             MemtisPolicy::new(MemtisConfig::sim_scaled()),
             driver_config(),
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         let (hybrid, hsim) = run_sim(
             bench,
@@ -41,7 +41,7 @@ fn main() {
             machine_for(bench, scale, ratio, CapacityKind::Nvm),
             MemtisPolicy::new(MemtisConfig::sim_scaled().with_hybrid_scan(16)),
             driver_config(),
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         table.row(vec![
             bench.name().to_string(),

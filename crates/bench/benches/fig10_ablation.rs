@@ -32,7 +32,7 @@ fn main() {
             bench,
             scale,
             CapacityKind::Nvm,
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         let vanilla = run_system(
             bench,
@@ -53,7 +53,7 @@ fn main() {
                 machine,
                 Box::new(MemtisPolicy::new(cfg)),
                 memtis_bench::driver_config(),
-                memtis_bench::access_budget(),
+                memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
             )
         };
         let full = run_system(bench, scale, ratio, CapacityKind::Nvm, System::Memtis);

@@ -37,7 +37,7 @@ fn main() {
             machine.clone(),
             MemtisPolicy::new(MemtisConfig::sim_scaled()),
             driver_config(),
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         let ns_r = run_system(bench, scale, ratio, CapacityKind::Nvm, System::MemtisNs);
         let t08_r = run_system(bench, scale, ratio, CapacityKind::Nvm, System::Tiering08);

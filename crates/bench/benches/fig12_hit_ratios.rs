@@ -33,7 +33,7 @@ fn main() {
             machine_for(bench, scale, ratio, CapacityKind::Nvm),
             MemtisPolicy::new(MemtisConfig::sim_scaled()),
             driver_config(),
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         let (without_r, without_sim) = run_sim(
             bench,
@@ -41,7 +41,7 @@ fn main() {
             machine_for(bench, scale, ratio, CapacityKind::Nvm),
             MemtisPolicy::new(MemtisConfig::sim_scaled().without_split()),
             driver_config(),
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         // Steady-state values: average over the second half of the run's
         // estimation windows.

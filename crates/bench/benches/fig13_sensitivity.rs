@@ -20,7 +20,7 @@ fn run_with(bench: Benchmark, cfg: MemtisConfig) -> f64 {
         machine,
         Box::new(MemtisPolicy::new(cfg)),
         driver_config(),
-        memtis_bench::access_budget(),
+        memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
     );
     r.wall_ns
 }

@@ -17,7 +17,7 @@ fn main() {
             bench,
             scale,
             CapacityKind::Cxl,
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         for ratio in Ratio::MAIN {
             let tpp = run_system(bench, scale, ratio, CapacityKind::Cxl, System::Tpp);

@@ -28,12 +28,12 @@ const ADDR_BINS: usize = 32;
 
 fn main() {
     let scale = Scale::DEFAULT;
-    let spec = Benchmark::Roms.spec(scale, access_budget());
+    let spec = Benchmark::Roms.spec(scale, access_budget().expect("valid MEMTIS_ACCESSES"));
     // Monitoring targets: the workload's regions.
     let ranges: Vec<(VirtAddr, u64)> = spec.regions.iter().map(|r| (r.addr, r.bytes)).collect();
     let lo = ranges.iter().map(|(a, _)| a.0).min().unwrap();
     let hi = ranges.iter().map(|(a, b)| a.0 + b).max().unwrap();
-    let total_ns = access_budget() as f64 * NS_PER_ACCESS;
+    let total_ns = access_budget().expect("valid MEMTIS_ACCESSES") as f64 * NS_PER_ACCESS;
 
     let configs: [(&str, DamonConfig); 3] = [
         ("5ms-10-1000", DamonConfig::paper(5.0, 10, 1000)),

@@ -32,7 +32,7 @@ fn main() {
             machine,
             HememPolicy::new(HememConfig::default()),
             driver_config(),
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         let series = &sim.policy().hot_series;
         let mb = |b: u64| b as f64 / (1 << 20) as f64;

@@ -37,7 +37,7 @@ fn main() {
             machine_for(bench, scale, ratio, CapacityKind::Nvm),
             MemtisPolicy::new(cfg),
             driver_config(),
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         let policy = sim.policy();
         // One dot per huge page: (utilization = touched subpages, hotness).

@@ -29,7 +29,7 @@ fn main() {
             bench,
             scale,
             CapacityKind::Nvm,
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         for ratio in Ratio::MAIN {
             let mut row: Vec<String> = vec![bench.name().into(), ratio.label()];

@@ -41,7 +41,7 @@ fn main() {
                 .with_bandwidth_scale(TIME_COMPRESSION),
             System::AllNvm.build(),
             driver_config(),
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         let mut row = vec![
             format!("{rss_gb:.0}"),
@@ -57,7 +57,7 @@ fn main() {
                 machine,
                 sys.build(),
                 driver_config(),
-                memtis_bench::access_budget(),
+                memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
             );
             let n = normalized(&baseline, &r);
             scores.push(n);

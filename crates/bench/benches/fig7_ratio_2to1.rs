@@ -27,7 +27,7 @@ fn main() {
             bench,
             scale,
             CapacityKind::Nvm,
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         let dram_thp = run_cell(
             bench,
@@ -35,7 +35,7 @@ fn main() {
             machine_all_fast(bench, scale),
             System::AllDram.build(),
             driver_config(),
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         let dram_nothp = run_cell(
             bench,
@@ -46,7 +46,7 @@ fn main() {
                 thp_enabled: false,
                 ..driver_config()
             },
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         let tpp = run_system(bench, scale, ratio, CapacityKind::Nvm, System::Tpp);
         let memtis = run_system(bench, scale, ratio, CapacityKind::Nvm, System::Memtis);

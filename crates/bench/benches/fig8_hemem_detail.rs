@@ -46,7 +46,7 @@ fn main() {
             base_machine,
             System::AllNvm.build(),
             driver_config(),
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
 
         // HeMem with its fast tier reduced by the measured over-allocation.
@@ -71,7 +71,7 @@ fn main() {
             hemem_machine,
             System::Hemem.build(),
             driver_config(),
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         // HeMem+: full fast-tier size (same as MEMTIS).
         let hemem_plus = run_cell(
@@ -80,7 +80,7 @@ fn main() {
             probe_machine.clone(),
             System::Hemem.build(),
             driver_config(),
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         let memtis = run_cell(
             bench,
@@ -88,7 +88,7 @@ fn main() {
             probe_machine,
             System::Memtis.build(),
             driver_config(),
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         let (nh, nhp, nm) = (
             normalized(&base, &hemem),

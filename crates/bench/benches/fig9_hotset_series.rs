@@ -49,7 +49,7 @@ fn main() {
                 machine,
                 MemtisPolicy::new(MemtisConfig::sim_scaled()),
                 driver_config(),
-                memtis_bench::access_budget(),
+                memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
             );
             let mb = |b: f64| b / (1 << 20) as f64;
             let series: Vec<(f64, f64, f64, f64)> = report

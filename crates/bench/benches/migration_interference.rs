@@ -51,7 +51,7 @@ fn main() {
             machine_for(bench, scale, ratio, CapacityKind::Nvm),
             MemtisPolicy::new(MemtisConfig::sim_scaled()),
             driver,
-            access_budget(),
+            access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         sweep.row(vec![
             cap.map_or("instant".to_string(), |b| format!("{b}")),
@@ -91,7 +91,7 @@ fn main() {
         .phases(16)
         .drift(0.5)
         .stores(0.0)
-        .build(access_budget());
+        .build(access_budget().expect("valid MEMTIS_ACCESSES"));
     let rss = spec.total_bytes();
     for (label, cfg) in [
         ("cancel in-flight", MemtisConfig::sim_scaled()),

@@ -34,7 +34,7 @@ fn main() {
             machine_for(bench, scale, ratio, CapacityKind::Nvm),
             MemtisPolicy::new(MemtisConfig::sim_scaled()),
             driver_config(),
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         );
         let p = sim.policy();
         // Reference: the same run with free sampling (no per-sample cost),
@@ -49,7 +49,7 @@ fn main() {
             machine_for(bench, scale, ratio, CapacityKind::Nvm),
             MemtisPolicy::new(free_cfg),
             driver_config(),
-            memtis_bench::access_budget(),
+            memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
         )
         .0;
         table.row(vec![
@@ -74,7 +74,7 @@ fn main() {
         bench,
         scale,
         CapacityKind::Nvm,
-        memtis_bench::access_budget(),
+        memtis_bench::access_budget().expect("valid MEMTIS_ACCESSES"),
     );
     let r = run_system(
         bench,

@@ -133,7 +133,7 @@ fn parse(cmd: &str, mut args: Args) -> Result<Opts, CliError> {
         },
         kind: CapacityKind::Nvm,
         policy: System::Memtis,
-        accesses: access_budget(),
+        accesses: access_budget()?,
         trace: None,
         trace_out: None,
         trace_format: TraceFormat::Jsonl,

@@ -145,7 +145,8 @@ fn parse(mut args: Args) -> Result<Opts, CliError> {
 
 fn main() {
     let o = parse(Args::from_env()).unwrap_or_else(|e| cli::exit_usage(&e, USAGE));
-    let (bench, scale, accesses) = (o.bench, o.scale, access_budget());
+    let accesses = access_budget().unwrap_or_else(|e| cli::exit_usage(&e, USAGE));
+    let (bench, scale) = (o.bench, o.scale);
     let base = run_baseline(bench, scale, CapacityKind::Nvm, accesses);
     println!(
         "baseline all-NVM: wall={:.2}ms thpt={:.1}M/s llc_miss={:.3}",

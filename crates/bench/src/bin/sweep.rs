@@ -53,7 +53,7 @@ fn main() {
     let mut seeds: u32 = 1;
     let mut kind = CapacityKind::Nvm;
     let mut scale = Scale::DEFAULT;
-    let mut accesses = access_budget();
+    let mut accesses = access_budget().unwrap_or_else(|e| cli::exit_usage(&e, USAGE));
     let mut driver = driver_config();
     let mut parse = || -> Result<(), CliError> {
         while let Some(flag) = args.next() {

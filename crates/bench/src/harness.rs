@@ -14,6 +14,7 @@ use memtis_baselines::{
 use memtis_core::{MemtisConfig, MemtisPolicy};
 use memtis_sim::prelude::*;
 use memtis_workloads::{Benchmark, Scale, SpecStream};
+use std::num::NonZeroU64;
 
 /// Default seed for all experiment streams.
 pub const SEED: u64 = 20231023; // SOSP '23 opening day.
@@ -25,12 +26,18 @@ pub const SEED: u64 = 20231023; // SOSP '23 opening day.
 /// movement — stays in the paper's regime (see DESIGN.md).
 pub const TIME_COMPRESSION: f64 = 64.0;
 
-/// Access budget per run; override with `MEMTIS_ACCESSES`.
-pub fn access_budget() -> u64 {
-    std::env::var("MEMTIS_ACCESSES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_500_000)
+/// Access budget per run: `MEMTIS_ACCESSES` when it is set, 1.5M when it
+/// is not. A set value that is not a positive integer is a [`CliError`]
+/// naming the variable, never a silent fallback to the default.
+pub fn access_budget() -> Result<u64, CliError> {
+    const VAR: &str = "MEMTIS_ACCESSES";
+    let Some(raw) = std::env::var_os(VAR) else {
+        return Ok(1_500_000);
+    };
+    raw.to_str()
+        .and_then(|s| s.parse::<NonZeroU64>().ok())
+        .map(NonZeroU64::get)
+        .ok_or_else(|| CliError::new(VAR, format!("bad value {raw:?} (want a positive integer)")))
 }
 
 /// Capacity-tier memory kind for an experiment.
@@ -438,7 +445,7 @@ pub fn run_system(
         machine,
         system.build(),
         driver_config(),
-        access_budget(),
+        access_budget().expect("valid MEMTIS_ACCESSES"),
     )
 }
 
@@ -518,7 +525,12 @@ mod tests {
     fn smoke_run_one_cell() {
         std::env::set_var("MEMTIS_ACCESSES", "20000");
         let scale = Scale::TEST;
-        let base = run_baseline(Benchmark::Roms, scale, CapacityKind::Nvm, access_budget());
+        let base = run_baseline(
+            Benchmark::Roms,
+            scale,
+            CapacityKind::Nvm,
+            access_budget().unwrap(),
+        );
         let r = run_system(
             Benchmark::Roms,
             scale,

@@ -1,10 +1,11 @@
 //! The bench CLIs' shared argument handling: every run flag lands in its
 //! `DriverConfig` / `SnapshotOpts` field, every bad value is an error that
-//! names its flag, and the built binaries turn such errors into exit 2
-//! instead of running with a default, panicking or hanging.
+//! names its flag (or `MEMTIS_ACCESSES`, for the access budget), and the
+//! built binaries turn such errors into exit 2 instead of running with a
+//! default, panicking or hanging.
 
 use memtis_bench::cli::{run_flag, Args, CliError, RUN_FLAGS};
-use memtis_bench::{driver_config, parse_diff_args, Ratio, SnapshotOpts, System};
+use memtis_bench::{access_budget, driver_config, parse_diff_args, Ratio, SnapshotOpts, System};
 use memtis_sim::prelude::DriverConfig;
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -163,12 +164,13 @@ const PROBE: &str = env!("CARGO_BIN_EXE_probe");
 const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
 const CHAOS: &str = env!("CARGO_BIN_EXE_chaos");
 
-/// Runs a built binary with a small access budget, failing (after killing
-/// it) if it outlives `deadline`. Returns the exit code and stderr.
-fn run_bin(bin: &str, args: &[&str], deadline: Duration) -> (Option<i32>, String) {
+/// Runs a built binary with `MEMTIS_ACCESSES` set to `accesses`, failing
+/// (after killing it) if it outlives `deadline`. Returns the exit code and
+/// stderr.
+fn run_bin(bin: &str, args: &[&str], accesses: &str, deadline: Duration) -> (Option<i32>, String) {
     let mut child = Command::new(bin)
         .args(args)
-        .env("MEMTIS_ACCESSES", "2000")
+        .env("MEMTIS_ACCESSES", accesses)
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -262,13 +264,52 @@ fn malformed_invocations_exit_2_naming_the_flag() {
         ),
     ];
     for (bin, args, flag) in cases {
-        let (code, stderr) = run_bin(bin, &args, Duration::from_secs(30));
+        let (code, stderr) = run_bin(bin, &args, "2000", Duration::from_secs(30));
         assert_eq!(code, Some(2), "{bin} {args:?} exited {code:?}: {stderr}");
         assert!(
             stderr.contains(flag),
             "{bin} {args:?} stderr lacks {flag}: {stderr}"
         );
     }
+}
+
+#[test]
+fn bad_access_budget_env_exits_2_naming_it() {
+    let invocations: [(&str, &[&str]); 3] = [
+        (MEMTIS, &["run", "silo", "--ratio", "1:8"]),
+        (PROBE, &["silo", "1:8", "memtis", "--test-scale"]),
+        (
+            SWEEP,
+            &["--systems", "memtis", "--benches", "silo", "--test-scale"],
+        ),
+    ];
+    for (bin, args) in invocations {
+        for bad in ["abc", "0", "-3", "", "1e6", "12x", "99999999999999999999"] {
+            let (code, stderr) = run_bin(bin, args, bad, Duration::from_secs(30));
+            assert_eq!(code, Some(2), "{bin} MEMTIS_ACCESSES={bad:?}: {stderr}");
+            assert!(
+                stderr.contains("MEMTIS_ACCESSES"),
+                "{bin} MEMTIS_ACCESSES={bad:?} stderr lacks the variable: {stderr}"
+            );
+        }
+    }
+}
+
+/// Unset means the default budget; set, it must be a positive integer.
+/// The only test in this binary that touches its own environment (the
+/// spawned binaries get `MEMTIS_ACCESSES` explicitly).
+#[test]
+fn access_budget_reads_the_env_strictly() {
+    std::env::remove_var("MEMTIS_ACCESSES");
+    assert_eq!(access_budget(), Ok(1_500_000));
+    std::env::set_var("MEMTIS_ACCESSES", "2500");
+    assert_eq!(access_budget(), Ok(2_500));
+    for bad in ["abc", "0", " 7", ""] {
+        std::env::set_var("MEMTIS_ACCESSES", bad);
+        let err = access_budget().expect_err(bad);
+        assert_eq!(err.flag, "MEMTIS_ACCESSES", "{bad:?}");
+    }
+    std::env::remove_var("MEMTIS_ACCESSES");
 }
 
 #[test]

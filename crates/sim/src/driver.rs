@@ -765,13 +765,13 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     /// Advances the asynchronous migration engine to the current wall
     /// clock: starts queued transfers as links free up, finalizes finished
     /// copies, and reports terminal transfers back to the policy (daemon
-    /// context). No-op while the engine is idle, so unlimited-bandwidth
-    /// runs never enter this path.
+    /// context). No-op before the engine's next due time (always, while it
+    /// is idle), so unlimited-bandwidth runs never enter this path.
     fn pump_transfers(&mut self) {
         // Machine-level faults (outages, pressure, forced aborts) are
-        // applied inside the machine's pump and may need to run even while
-        // the engine is idle.
-        if self.machine.transfers_idle()
+        // applied inside the machine's pump, which rolls the injector's
+        // dice once per call, so faulted runs pump every time.
+        if self.wall_ns < self.machine.transfers_next_due()
             && !self.machine.has_fault_injection()
             && !self.machine.has_pending_shadow_events()
         {
@@ -1099,18 +1099,20 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
     ///
     /// Byte-exactness with the per-event loop rests on three invariants:
     ///
-    /// 1. Deferral engages only on *quiet* runs — no migration engine
-    ///    (`bandwidth_limit` unset, so `pump_transfers` is a no-op and
-    ///    per-access fault work is exactly `0.0`), no fault injection
-    ///    (every sample fate is `Deliver`, no fault records) — under a
-    ///    policy declaring [`TieringPolicy::batch_safe`]. Anything else
-    ///    funnels through [`Simulation::step_event`] unchanged.
+    /// 1. Deferral engages only on runs without fault injection (every
+    ///    sample fate is `Deliver`, no fault records, per-access fault work
+    ///    exactly `0.0`) or shadow migration, under a policy declaring
+    ///    [`TieringPolicy::batch_safe`]. Anything else funnels through
+    ///    [`Simulation::step_event`] unchanged. The migration engine may be
+    ///    active: the per-event loop's pump after each access is a no-op
+    ///    before [`Machine::transfers_next_due`], so a burst that stops
+    ///    there and pumps once afterwards sees exactly the same transfers.
     /// 2. A burst is sized so no boundary check could fire between two of
-    ///    its accesses: the clock stops at the next tick/snapshot boundary,
-    ///    and the length is capped by the window collector's
-    ///    remaining-event budget and the remaining access budget. The
-    ///    checks then run once after the burst — the first point the
-    ///    per-event loop could have seen them fire.
+    ///    its accesses: the clock stops at the next tick/snapshot boundary
+    ///    or engine due time, and the length is capped by the window
+    ///    collector's remaining-event budget and the remaining access
+    ///    budget. The pump and the checks then run once after the burst —
+    ///    the first point the per-event loop could have seen them act.
     /// 3. Deferred `on_access` deliveries replay in order, each at its
     ///    recorded pre-update wall clock, before any boundary work or
     ///    fault tail that follows the burst.
@@ -1125,10 +1127,8 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         let mut records: Vec<AccessRecord> = Vec::with_capacity(chunk);
         // Shadow mode mutates the shadow map from store paths, so its runs
         // stay strictly per-event (stream-ordered): no deferred batches.
-        let defer = self.machine.config().migration.bandwidth_limit.is_none()
-            && !self.has_faults
-            && !self.machine.config().migration.shadow
-            && self.policy.batch_safe();
+        let defer =
+            !self.has_faults && !self.machine.config().migration.shadow && self.policy.batch_safe();
         // Constant for the run, per the `batch_record_filter` contract.
         let filter = self.policy.batch_record_filter();
         let mut first = true;
@@ -1180,7 +1180,10 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                     wall_ns: self.wall_ns,
                     app_access_ns: self.app_access_ns,
                     threads: self.threads(),
-                    stop_wall_ns: self.next_tick.min(self.next_snapshot),
+                    stop_wall_ns: self
+                        .next_tick
+                        .min(self.next_snapshot)
+                        .min(self.machine.transfers_next_due()),
                 };
                 records.clear();
                 let (consumed, stop) = {
@@ -1210,8 +1213,11 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                 }
                 match stop {
                     BatchStop::Clean => {
-                        if consumed > 0 && self.post_event_checks() {
-                            halt = true;
+                        if consumed > 0 {
+                            self.pump_transfers();
+                            if self.post_event_checks() {
+                                halt = true;
+                            }
                         }
                     }
                     BatchStop::Hint(outcome) => {

@@ -302,6 +302,13 @@ pub(crate) struct MigrationEngine {
     links: Vec<Link>,
     next_id: u64,
     next_seq: u64,
+    /// Earliest simulated time at which a pump can change anything: the
+    /// soonest `end_ns` over the links' active copies as of the last pump
+    /// (`+inf` if none). After a pump every link with queued work is busy,
+    /// so until then nothing can start, finish, or abort. `admit`,
+    /// `remove`, `delay_active` and `snap_restore` reset it to `-inf`. A
+    /// memo derived from the table, so it is never snapshotted.
+    next_due_ns: f64,
 }
 
 impl MigrationEngine {
@@ -314,6 +321,7 @@ impl MigrationEngine {
             links: Vec::new(),
             next_id: 0,
             next_seq: 0,
+            next_due_ns: f64::NEG_INFINITY,
         }
     }
 
@@ -329,6 +337,12 @@ impl MigrationEngine {
 
     pub(crate) fn has_active(&self) -> bool {
         self.links.iter().any(|l| l.active.is_some())
+    }
+
+    /// Earliest simulated time at which [`MigrationEngine::pump`] can start,
+    /// finish or abort a transfer; a pump at any earlier time is a no-op.
+    pub(crate) fn next_due_ns(&self) -> f64 {
+        self.next_due_ns
     }
 
     pub(crate) fn queue_len(&self) -> usize {
@@ -386,6 +400,7 @@ impl MigrationEngine {
     /// finished (`end_ns <= now_ns`) are not delayed — their copy completed
     /// before the outage hit; they finalize during the following pump.
     pub(crate) fn delay_active(&mut self, now_ns: f64, extra_ns: f64) {
+        self.next_due_ns = f64::NEG_INFINITY;
         for l in &mut self.links {
             match l.active.as_mut() {
                 Some(t) if t.end_ns > now_ns => t.end_ns += extra_ns,
@@ -429,6 +444,7 @@ impl MigrationEngine {
         priority: u8,
         now_ns: f64,
     ) -> TransferId {
+        self.next_due_ns = f64::NEG_INFINITY;
         let id = TransferId(self.next_id);
         self.next_id += 1;
         let seq = self.next_seq;
@@ -460,6 +476,7 @@ impl MigrationEngine {
     /// Removes a transfer by id (pending or active). An interrupted copy
     /// pass counts as a wasted pass; the link is freed at `now_ns`.
     pub(crate) fn remove(&mut self, id: TransferId, now_ns: f64) -> Option<Transfer> {
+        self.next_due_ns = f64::NEG_INFINITY;
         if let Some(i) = self.pending.iter().position(|t| t.id == id) {
             return Some(self.pending.remove(i));
         }
@@ -515,6 +532,7 @@ impl MigrationEngine {
         r: &mut memtis_obs::SnapReader<'_>,
     ) -> Result<(), memtis_obs::SnapError> {
         use memtis_obs::SnapError;
+        self.next_due_ns = f64::NEG_INFINITY;
         self.next_id = r.u64()?;
         self.next_seq = r.u64()?;
         let n = r.u32()? as usize;
@@ -584,8 +602,10 @@ impl MigrationEngine {
     }
 
     /// Advances all links to `now_ns`. `bw_of(from, to)` yields the link
-    /// bandwidth in bytes/ns. Returns starts, clean copy completions (for
-    /// the machine to remap), and dirty aborts, in deterministic order.
+    /// bandwidth in bytes/ns (a function of the configuration only).
+    /// Returns starts, clean copy completions (for the machine to remap),
+    /// and dirty aborts, in deterministic order, and records
+    /// [`MigrationEngine::next_due_ns`].
     pub(crate) fn pump(
         &mut self,
         now_ns: f64,
@@ -655,6 +675,11 @@ impl MigrationEngine {
                 }
             }
         }
+        self.next_due_ns = self
+            .links
+            .iter()
+            .filter_map(|l| l.active.as_ref().map(|t| t.end_ns))
+            .fold(f64::INFINITY, f64::min);
         out
     }
 }
@@ -950,6 +975,104 @@ mod tests {
             u32_len(u32::MAX as usize + 1, "too deep"),
             Err(memtis_obs::SnapError::Corrupt("too deep"))
         ));
+    }
+
+    fn snap_bytes(e: &MigrationEngine) -> Vec<u8> {
+        let mut w = memtis_obs::SnapWriter::new();
+        e.snap_save(&mut w).unwrap();
+        w.finish()
+    }
+
+    /// Before the next due time a pump finds every link with queued work
+    /// still copying: it reports nothing and leaves the table unchanged.
+    #[test]
+    fn pump_before_next_due_is_a_no_op() {
+        let mut e = MigrationEngine::new(16, 2);
+        admit(&mut e, 1, 0, 0.0);
+        admit(&mut e, 2, 0, 0.0);
+        admit(&mut e, 3, 0, 100.0);
+        assert_eq!(e.next_due_ns(), f64::NEG_INFINITY, "admission resets");
+        e.pump(10.0, |_, _| 1.0); // vpage 1 copies until 4096
+        assert_eq!(e.next_due_ns(), 4096.0);
+        e.note_store(VirtPage(1)); // dirtying changes no timing
+        let before = snap_bytes(&e);
+        for now in [10.0, 100.0, 4095.0] {
+            assert!(e.pump(now, |_, _| 1.0).is_empty(), "pump at {now}");
+            assert_eq!(snap_bytes(&e), before, "pump at {now} moved state");
+            assert_eq!(e.next_due_ns(), 4096.0);
+        }
+        // At the due time the dirty pass ends and re-copies.
+        e.pump(4096.0, |_, _| 1.0);
+        assert_eq!(e.next_due_ns(), 8192.0);
+        assert_ne!(snap_bytes(&e), before);
+    }
+
+    /// An idle engine after a pump has nothing due.
+    #[test]
+    fn drained_engine_is_never_due() {
+        let mut e = MigrationEngine::new(16, 2);
+        admit(&mut e, 1, 0, 0.0);
+        e.pump(4096.0, |_, _| 1.0);
+        assert!(e.is_idle());
+        assert_eq!(e.next_due_ns(), f64::INFINITY);
+    }
+
+    /// Every mutation outside `pump` that can let a pump act sooner resets
+    /// the due time, so the following pump starts or finishes work.
+    #[test]
+    fn mutations_reset_next_due() {
+        // `admit` on a drained engine: the new transfer starts right away.
+        let mut e = MigrationEngine::new(16, 2);
+        admit(&mut e, 1, 0, 0.0);
+        e.pump(4096.0, |_, _| 1.0);
+        assert_eq!(e.next_due_ns(), f64::INFINITY);
+        let b = admit(&mut e, 2, 0, 5000.0);
+        assert_eq!(e.next_due_ns(), f64::NEG_INFINITY);
+        let out = e.pump(5000.0, |_, _| 1.0);
+        assert!(matches!(&out[..], [PumpOutcome::Started { id, .. }] if *id == b));
+
+        // `remove` of the active copy: the queued transfer takes the link.
+        let mut e = MigrationEngine::new(16, 2);
+        let a = admit(&mut e, 1, 0, 0.0);
+        let b = admit(&mut e, 2, 0, 0.0);
+        e.pump(10.0, |_, _| 1.0);
+        assert_eq!(e.next_due_ns(), 4096.0);
+        e.remove(a, 20.0).unwrap();
+        assert_eq!(e.next_due_ns(), f64::NEG_INFINITY);
+        let out = e.pump(20.0, |_, _| 1.0);
+        assert!(matches!(&out[..], [PumpOutcome::Started { id, .. }] if *id == b));
+        assert_eq!(e.next_due_ns(), 20.0 + 4096.0);
+
+        // `delay_active`: the due time moves with the outage.
+        let mut e = MigrationEngine::new(16, 2);
+        let a = admit(&mut e, 1, 0, 0.0);
+        e.pump(10.0, |_, _| 1.0);
+        e.delay_active(100.0, 1000.0);
+        assert_eq!(e.next_due_ns(), f64::NEG_INFINITY);
+        assert!(e.pump(4096.0, |_, _| 1.0).is_empty());
+        assert_eq!(e.next_due_ns(), 5096.0);
+        let out = e.pump(5096.0, |_, _| 1.0);
+        assert!(matches!(&out[..], [PumpOutcome::CopyDone(t)] if t.id == a));
+
+        // `snap_restore`: the due time is not part of the snapshot, so a
+        // restored engine pumps once to recompute it.
+        let mut e = MigrationEngine::new(16, 2);
+        admit(&mut e, 1, 0, 0.0);
+        admit(&mut e, 2, 0, 0.0);
+        e.pump(10.0, |_, _| 1.0);
+        let bytes = snap_bytes(&e);
+        let mut f = MigrationEngine::new(16, 2);
+        f.pump(0.0, |_, _| 1.0);
+        assert_eq!(f.next_due_ns(), f64::INFINITY);
+        f.snap_restore(&mut memtis_obs::SnapReader::new(&bytes))
+            .unwrap();
+        assert_eq!(f.next_due_ns(), f64::NEG_INFINITY);
+        let out = f.pump(4096.0, |_, _| 1.0);
+        assert!(matches!(
+            &out[..],
+            [PumpOutcome::CopyDone(_), PumpOutcome::Started { .. }]
+        ));
+        assert_eq!(f.next_due_ns(), 8192.0);
     }
 
     #[test]

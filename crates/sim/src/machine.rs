@@ -56,14 +56,16 @@ pub struct MigrateOutcome {
 #[derive(Debug, Clone, Copy)]
 pub struct BatchClock {
     /// Simulated wall-clock time (ns); advanced by `latency / threads` per
-    /// access, bitwise-identical to the per-event loop's quiet-mode update.
+    /// access, bitwise-identical to the per-event loop's update when no
+    /// fault work is charged.
     pub wall_ns: f64,
     /// Cumulative application access time (ns); advanced by raw latency.
     pub app_access_ns: f64,
     /// Application thread count (the per-access wall divisor).
     pub threads: f64,
     /// The batch stops as soon as `wall_ns` reaches this (the driver's next
-    /// tick or snapshot boundary), so no timer can fire mid-burst.
+    /// tick or snapshot boundary, or the migration engine's next due time),
+    /// so no timer can fire and no transfer can start or end mid-burst.
     pub stop_wall_ns: f64,
 }
 
@@ -737,10 +739,11 @@ impl Machine {
     /// to a mapping clears the hint bit and sets the accessed/dirty bits,
     /// so the walk on each repeat is pure recomputation — but the TLB and
     /// LLC are stateful (stamp updates, set rotation) and are still driven
-    /// per access; see [`Machine::access_coalesced`]. Stores always take
-    /// the full path (subpage dirty bookkeeping), as does any access while
-    /// the migration engine holds active transfers (in-flight dirty
-    /// tracking, link contention).
+    /// per access; see [`Machine::access_coalesced`]. The migration engine
+    /// may hold active transfers: nothing pumps inside a burst (the driver
+    /// stops it at the engine's next due time), so link state is fixed for
+    /// the whole call and repeats dirty in-flight pages and pay link
+    /// contention exactly as the full path does.
     ///
     /// [`WorkloadEvent::Access`]: crate::driver::WorkloadEvent::Access
     pub fn access_batch(
@@ -750,18 +753,12 @@ impl Machine {
         clock: &mut BatchClock,
         filter: RecordFilter,
     ) -> (usize, BatchStop) {
-        let engine_active = self.engine.has_active();
         let mut cache = CoalesceCache::default();
         for (i, ev) in events.iter().enumerate() {
             let crate::driver::WorkloadEvent::Access(access) = *ev else {
                 return (i, BatchStop::Clean);
             };
-            let res = if engine_active {
-                self.access(access)
-            } else {
-                self.access_coalesced(access, &mut cache)
-            };
-            let outcome = match res {
+            let outcome = match self.access_coalesced(access, &mut cache) {
                 Ok(out) => out,
                 Err(_) => return (i, BatchStop::NotMapped),
             };
@@ -788,16 +785,17 @@ impl Machine {
     /// access in this batch resolved — the same base page, or any subpage of
     /// the same huge page — skips the hint handling and tier lookup, and for
     /// loads the page walk as well (a repeat store still walks, through the
-    /// table's walk cache, for its dirty bookkeeping). Only sound with the
-    /// migration engine idle (the caller checks).
+    /// table's walk cache, for its dirty bookkeeping). Repeats mark an
+    /// in-flight copy dirty on a store and pay link contention on an LLC
+    /// miss, as [`Machine::access`] does.
     ///
     /// Coalescing a repeat is exact because the mapping's reference/hint
     /// bits live on the one shared entry (already set and cleared by the
     /// batch's first access to it, so a repeat load's walk would be pure
     /// recomputation — and nothing re-arms hints or remaps pages mid-batch:
     /// policy delivery is deferred, boundary work is hoisted, the engine is
-    /// idle), a huge mapping's subpage frames are contiguous from the cached
-    /// base frame, and a huge frame block lives wholly in one tier. The
+    /// not pumped), a huge mapping's subpage frames are contiguous from the
+    /// cached base frame, and a huge frame block lives wholly in one tier. The
     /// stateful structures — TLB, LLC, page-table dirty bits, statistics —
     /// still tick per access; a repeat *can* miss the TLB (another region's
     /// insert may have evicted it) and then pays the walk latency exactly
@@ -848,6 +846,9 @@ impl Machine {
                         }
                         None => unreachable!("memoized mapping unmapped mid-batch"),
                     }
+                    if self.engine.has_active() {
+                        self.engine.note_store(vpage);
+                    }
                 }
                 // The first repeat memoizes the TLB hit way; later repeats
                 // replay the hit without re-scanning the set, as long as no
@@ -881,6 +882,9 @@ impl Machine {
                     } else {
                         spec.load_ns
                     };
+                    if self.engine.has_active() && self.engine.link_busy_for(tier) {
+                        latency += self.cfg.migration.contention_penalty_ns;
+                    }
                     self.stats.count_tier_hit(tier);
                 }
                 if is_store {
@@ -1425,6 +1429,18 @@ impl Machine {
         self.engine.is_idle()
     }
 
+    /// Earliest simulated time at which [`Machine::pump_transfers`] can
+    /// start, finish or abort a transfer (`+inf` while the engine is idle).
+    /// Fault injection and shadow reclaims aside, pumping any earlier is a
+    /// no-op, so the batched driver stops each burst here.
+    pub fn transfers_next_due(&self) -> f64 {
+        if self.engine.is_idle() {
+            f64::INFINITY
+        } else {
+            self.engine.next_due_ns()
+        }
+    }
+
     /// Queued (not yet copying) transfers.
     pub fn transfer_queue_len(&self) -> usize {
         self.engine.queue_len()
@@ -1471,7 +1487,9 @@ impl Machine {
                 fault_events.push(EngineEvent::ShadowReclaimed { vpage, tier, bytes });
             }
         }
-        if self.engine.is_idle() {
+        // Before the engine's next due time every link with queued work is
+        // still copying, so a pump could not start, finish or abort anything.
+        if now_ns < self.transfers_next_due() {
             return fault_events;
         }
         let outcomes = {

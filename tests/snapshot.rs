@@ -2,7 +2,7 @@
 //! boundary, snapshotted, restored into a freshly built simulation, and
 //! resumed must produce a byte-identical [`RunReport`] (windows and timeline
 //! included) versus the uninterrupted run — across policies, per-event and
-//! batched execution, and active fault injection.
+//! batched execution, active fault injection, and migration link speeds.
 
 use memtis_repro::baselines::{HememConfig, HememPolicy, TppConfig, TppPolicy};
 use memtis_repro::memtis::{MemtisConfig, MemtisPolicy};
@@ -22,13 +22,16 @@ fn machine() -> MachineConfig {
     cfg
 }
 
-fn driver(chunk: usize, faults: Option<FaultPlan>) -> DriverConfig {
+/// `migration_bw` overrides the machine's 4 B/ns link (`Some(0.5)` keeps
+/// each huge-page copy in flight for most of the run).
+fn driver(chunk: usize, faults: Option<FaultPlan>, migration_bw: Option<f64>) -> DriverConfig {
     DriverConfig {
         tick_interval_ns: 20_000.0,
         timeline_interval_ns: 150_000.0,
         window_events: 7_000,
         chunk,
         faults,
+        migration_bw,
         ..Default::default()
     }
 }
@@ -102,14 +105,16 @@ fn oracle(
     mk_policy: &dyn Fn() -> Box<dyn TieringPolicy>,
     chunk: usize,
     faults: Option<FaultPlan>,
+    migration_bw: Option<f64>,
     pause_at: u64,
 ) -> Result<(), TestCaseError> {
+    let driver = || driver(chunk, faults, migration_bw);
     let full = {
-        let mut sim = Simulation::new(machine(), mk_policy(), driver(chunk, faults));
+        let mut sim = Simulation::new(machine(), mk_policy(), driver());
         report_sig(sim.run(&mut stream()).expect("uninterrupted run completes"))
     };
 
-    let mut sim = Simulation::new(machine(), mk_policy(), driver(chunk, faults));
+    let mut sim = Simulation::new(machine(), mk_policy(), driver());
     let mut wl = stream();
     let resumed_report = match sim
         .run_until(&mut wl, Some(pause_at))
@@ -122,7 +127,7 @@ fn oracle(
             let bytes = sim.snapshot();
             drop(sim);
             drop(wl);
-            let mut resumed = Simulation::new(machine(), mk_policy(), driver(chunk, faults));
+            let mut resumed = Simulation::new(machine(), mk_policy(), driver());
             resumed.restore(&bytes).expect("restore succeeds");
             // A fresh stream from event zero: run_until fast-forwards it to
             // the snapshot's position before executing anything.
@@ -135,9 +140,10 @@ fn oracle(
     prop_assert_eq!(
         full,
         report_sig(resumed_report),
-        "interrupt at {} diverged (chunk={})",
+        "interrupt at {} diverged (chunk={}, migration_bw={:?})",
         pause_at,
-        chunk
+        chunk,
+        migration_bw
     );
     Ok(())
 }
@@ -145,14 +151,16 @@ fn oracle(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random pause points across the policy × chunked × faulted
-    /// matrix: every interruption must be invisible in the final report.
+    /// Random pause points across the policy × chunked × faulted × link
+    /// speed matrix: every interruption must be invisible in the final
+    /// report.
     #[test]
     fn interrupted_runs_resume_bit_exactly(
         pause_frac in 0.05f64..0.95,
         policy_ix in 0usize..3,
         chunked in prop::bool::ANY,
         faulted in prop::bool::ANY,
+        slow_link in prop::bool::ANY,
     ) {
         let mk_policy: &dyn Fn() -> Box<dyn TieringPolicy> = match policy_ix {
             0 => &memtis_policy,
@@ -162,7 +170,7 @@ proptest! {
         let chunk = if chunked { DEFAULT_CHUNK } else { 1 };
         let faults = faulted.then(plan);
         let pause_at = (ACCESSES as f64 * pause_frac) as u64;
-        oracle(mk_policy, chunk, faults, pause_at.max(1))?;
+        oracle(mk_policy, chunk, faults, slow_link.then_some(0.5), pause_at.max(1))?;
     }
 }
 
@@ -173,15 +181,40 @@ proptest! {
 /// above samples the policy at random).
 #[test]
 fn hemem_interrupted_run_resumes_bit_exactly() {
-    oracle(&hemem_policy, 1, None, 12_000).unwrap();
-    oracle(&hemem_policy, DEFAULT_CHUNK, Some(plan()), 12_000).unwrap();
+    oracle(&hemem_policy, 1, None, None, 12_000).unwrap();
+    oracle(&hemem_policy, DEFAULT_CHUNK, Some(plan()), None, 12_000).unwrap();
+}
+
+/// Unfaulted MEMTIS on a capped link runs through the batched loop; pin
+/// checkpoints taken mid-transfer on both link speeds (the proptest above
+/// reaches this cell only by chance).
+#[test]
+fn batched_memtis_resumes_mid_transfer_bit_exactly() {
+    for migration_bw in [None, Some(0.5)] {
+        for pause_at in [12_000, 21_000] {
+            let mut sim = Simulation::new(
+                machine(),
+                memtis_policy(),
+                driver(DEFAULT_CHUNK, None, migration_bw),
+            );
+            assert!(sim
+                .run_until(&mut stream(), Some(pause_at))
+                .unwrap()
+                .is_none());
+            assert!(
+                sim.machine().transfers_in_flight() > 0,
+                "no transfer in flight at {pause_at} (migration_bw={migration_bw:?})"
+            );
+            oracle(&memtis_policy, DEFAULT_CHUNK, None, migration_bw, pause_at).unwrap();
+        }
+    }
 }
 
 /// A run interrupted twice — resume from the first snapshot, pause again,
 /// snapshot again, resume from the second — still matches the straight run.
 #[test]
 fn double_interruption_resumes_bit_exactly() {
-    let dcfg = || driver(DEFAULT_CHUNK, Some(plan()));
+    let dcfg = || driver(DEFAULT_CHUNK, Some(plan()), None);
     let full = {
         let mut sim = Simulation::new(machine(), memtis_policy(), dcfg());
         report_sig(sim.run(&mut stream()).unwrap())
@@ -214,7 +247,7 @@ fn double_interruption_resumes_bit_exactly() {
 /// rejected up front instead of silently diverging.
 #[test]
 fn restore_rejects_mismatched_policy() {
-    let dcfg = || driver(DEFAULT_CHUNK, None);
+    let dcfg = || driver(DEFAULT_CHUNK, None, None);
     let mut sim = Simulation::new(machine(), tpp_policy(), dcfg());
     assert!(sim.run_until(&mut stream(), Some(5_000)).unwrap().is_none());
     let bytes = sim.snapshot();
