@@ -20,8 +20,7 @@ use std::time::Instant;
 /// The simulator phases the profiler attributes host time to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanId {
-    /// Delivering PEBS-style samples to the policy (`on_access` and
-    /// runtime ksampled drains).
+    /// Delivering PEBS-style samples to the policy (`on_access`).
     SamplingDrain,
     /// MEMTIS cooling sweep (`run_cooling`).
     CoolingTick,
@@ -76,10 +75,12 @@ struct Cell {
     ns: AtomicU64,
 }
 
-/// Accumulated `(calls, host-ns)` per phase. Cheap to share: sites hold
-/// an `Arc<Profiler>` and record with relaxed atomics, so the runtime
-/// crate's real threads and the single-threaded simulator use the same
-/// type.
+/// Accumulated `(calls, host-ns)` per phase. Held in an `Arc` because each
+/// [`SpanGuard`] owns a handle to it and [`Observer::profiler`] lends it
+/// out as `&Arc<Profiler>`; cells are relaxed atomics, so recording needs
+/// only `&self`.
+///
+/// [`Observer::profiler`]: crate::Observer::profiler
 #[derive(Debug, Default)]
 pub struct Profiler {
     cells: [Cell; ALL_SPANS.len()],

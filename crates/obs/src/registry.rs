@@ -1,11 +1,11 @@
 //! Counter and gauge registry.
 //!
 //! Monotonic counters and point-in-time gauges with cheap relaxed-atomic
-//! updates: an increment is a single `fetch_add(Relaxed)`, so shared-ring
-//! consumers (e.g. the runtime's real-thread daemons) can bump counters
-//! without synchronizing with readers. Readers see each cell individually
-//! atomically; cross-counter snapshots are only consistent at quiescence,
-//! which is all the end-of-run reporting needs.
+//! updates: an increment is a single `fetch_add(Relaxed)`, so holders of a
+//! shared reference can bump counters without synchronizing with readers.
+//! Readers see each cell individually atomically; cross-counter snapshots
+//! are only consistent at quiescence, which is all the end-of-run reporting
+//! needs.
 //!
 //! # Naming convention
 //!

@@ -27,9 +27,6 @@
 //! [`SnapReader::count`], which rejects a count the remaining bytes could
 //! not hold, so a corrupt prefix is a typed error, never a huge allocation.
 
-use std::collections::BTreeSet;
-use std::sync::{Mutex, OnceLock};
-
 /// Magic bytes opening every snapshot file.
 pub const SNAP_MAGIC: [u8; 8] = *b"MEMTISSN";
 /// Current snapshot format version.
@@ -86,24 +83,6 @@ impl std::fmt::Display for SnapError {
 }
 
 impl std::error::Error for SnapError {}
-
-/// Interns a string, returning a `&'static str` with stable identity.
-///
-/// Snapshot state includes `(&'static str, f64)` gauge rows whose keys
-/// were string literals at record time; on restore the keys come off
-/// the wire as owned strings. Leaking through a global cache bounds the
-/// leak to one copy per distinct key over the process lifetime.
-pub fn intern(s: &str) -> &'static str {
-    static CACHE: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(BTreeSet::new()));
-    let mut set = cache.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(hit) = set.get(s) {
-        return hit;
-    }
-    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    set.insert(leaked);
-    leaked
-}
 
 /// Little-endian snapshot encoder.
 #[derive(Debug, Default)]
@@ -289,12 +268,19 @@ impl<'a> SnapReader<'a> {
         String::from_utf8(raw.to_vec()).map_err(|_| SnapError::Corrupt("invalid utf-8"))
     }
 
-    /// Reads a length-prefixed string and interns it (see [`intern`]).
-    pub fn static_str(&mut self) -> Result<&'static str, SnapError> {
+    /// Reads a length-prefixed string that must be one of `names`, and
+    /// returns that entry. Gauge rows are keyed by `&'static str` literals;
+    /// resolving against the closed set of names the restoring component
+    /// can emit restores that identity without allocating, and rejects any
+    /// other string.
+    pub fn name(&mut self, names: &[&'static str]) -> Result<&'static str, SnapError> {
         let len = self.u32()? as usize;
         let raw = self.take(len)?;
-        let s = std::str::from_utf8(raw).map_err(|_| SnapError::Corrupt("invalid utf-8"))?;
-        Ok(intern(s))
+        names
+            .iter()
+            .copied()
+            .find(|n| n.as_bytes() == raw)
+            .ok_or(SnapError::Corrupt("unknown name"))
     }
 
     /// Reads a length-prefixed raw byte blob.
@@ -416,9 +402,14 @@ mod tests {
     }
 
     #[test]
-    fn intern_is_stable() {
-        let a = intern("gauge_key_x");
-        let b = intern(&String::from("gauge_key_x"));
-        assert!(std::ptr::eq(a, b));
+    fn name_resolves_against_the_table() {
+        let mut w = SnapWriter::new();
+        w.str("warm_bytes");
+        w.str("warm_byte");
+        let bytes = w.finish();
+        let table = ["hot_bytes", "warm_bytes"];
+        let mut r = SnapReader::new(&bytes);
+        assert!(std::ptr::eq(r.name(&table).unwrap(), table[1]));
+        assert!(matches!(r.name(&table), Err(SnapError::Corrupt(_))));
     }
 }

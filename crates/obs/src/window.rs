@@ -102,9 +102,12 @@ impl WindowSample {
         }
     }
 
-    /// Inverse of [`Self::snap_save`]; gauge names are interned back to
-    /// `&'static str` identity.
-    pub fn snap_load(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
+    /// Inverse of [`Self::snap_save`]; each gauge name must be one of
+    /// `gauge_names` (see [`crate::snap::SnapReader::name`]).
+    pub fn snap_load(
+        r: &mut crate::snap::SnapReader<'_>,
+        gauge_names: &[&'static str],
+    ) -> Result<Self, crate::snap::SnapError> {
         let index = r.u64()?;
         let end_event = r.u64()?;
         let wall_ns = r.f64()?;
@@ -129,7 +132,7 @@ impl WindowSample {
         let n = r.count(12)?;
         let mut gauges = Vec::with_capacity(n);
         for _ in 0..n {
-            let name = r.static_str()?;
+            let name = r.name(gauge_names)?;
             gauges.push((name, r.f64()?));
         }
         Ok(WindowSample {
@@ -233,8 +236,12 @@ impl WindowCollector {
         w.u64(self.last_migrated_bytes);
     }
 
-    /// Inverse of [`Self::snap_save`].
-    pub fn snap_load(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
+    /// Inverse of [`Self::snap_save`]; `gauge_names` is the closed set of
+    /// policy gauge names the samples may carry.
+    pub fn snap_load(
+        r: &mut crate::snap::SnapReader<'_>,
+        gauge_names: &[&'static str],
+    ) -> Result<Self, crate::snap::SnapError> {
         let every = r.u64()?;
         if every == 0 {
             return Err(crate::snap::SnapError::Corrupt("window length zero"));
@@ -243,7 +250,7 @@ impl WindowCollector {
         let n = r.count(100)?;
         let mut samples = Vec::with_capacity(n);
         for _ in 0..n {
-            samples.push(WindowSample::snap_load(r)?);
+            samples.push(WindowSample::snap_load(r, gauge_names)?);
         }
         let last_events = r.u64()?;
         let last_wall = r.f64()?;
@@ -393,7 +400,7 @@ mod tests {
         c.snap_save(&mut w);
         let bytes = w.finish();
         let mut r = crate::snap::SnapReader::new(&bytes);
-        let mut back = WindowCollector::snap_load(&mut r).unwrap();
+        let mut back = WindowCollector::snap_load(&mut r, &["rhr"]).unwrap();
         r.expect_end().unwrap();
         assert_eq!(back.every(), c.every());
         assert_eq!(back.samples(), c.samples());
@@ -419,7 +426,7 @@ mod tests {
             bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
             let mut r = crate::snap::SnapReader::new(&bad);
             assert!(matches!(
-                WindowCollector::snap_load(&mut r),
+                WindowCollector::snap_load(&mut r, &[]),
                 Err(crate::snap::SnapError::Corrupt(_))
             ));
         }

@@ -1500,6 +1500,11 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         if found != expected {
             return Err(SnapError::ConfigMismatch { expected, found }.into());
         }
+        // Saved gauge rows are keyed by this policy's timeline names; any
+        // other key is corruption.
+        let mut rows = Vec::new();
+        self.policy.timeline(&mut rows);
+        let gauge_names: Vec<&'static str> = rows.iter().map(|&(k, _)| k).collect();
         {
             let mut s = r.section()?;
             self.wall_ns = s.f64()?;
@@ -1543,7 +1548,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
                 let np = s.count(12)?;
                 let mut policy = Vec::with_capacity(np);
                 for _ in 0..np {
-                    let k = s.static_str()?;
+                    let k = s.name(&gauge_names)?;
                     policy.push((k, s.f64()?));
                 }
                 timeline.push(Snapshot {
@@ -1561,7 +1566,7 @@ impl<P: TieringPolicy, O: Observer> Simulation<P, O> {
         }
         {
             let mut s = r.section()?;
-            self.wcol = WindowCollector::snap_load(&mut s)?;
+            self.wcol = WindowCollector::snap_load(&mut s, &gauge_names)?;
             s.expect_end()?;
         }
         {

@@ -113,21 +113,31 @@ fn histograms_never_underflow_end_to_end() {
 
 #[test]
 fn memtis_never_slows_the_critical_path() {
-    let r = run(
-        Benchmark::Btree,
-        8,
-        MemtisPolicy::new(memtis_cfg()),
-        150_000,
-    );
-    // MEMTIS performs no policy work in fault context; the only app-side
-    // extra costs are the driver's own unmap/demand-fault bookkeeping.
-    assert!(r.daemon_ns > 0.0, "daemons did work");
-    assert!(
-        r.app_extra_ns < r.wall_ns * 0.05,
-        "app-side extras {:.0}ns vs wall {:.0}ns",
-        r.app_extra_ns,
-        r.wall_ns
-    );
+    // Uncapped, and with a bandwidth-capped link where every promotion is
+    // an asynchronous copy the application never waits for.
+    for migration_bw in [None, Some(8.0)] {
+        let bench = Benchmark::Btree;
+        let mut wl = SpecStream::new(bench.spec(Scale::TEST, 150_000), SEED);
+        let dcfg = DriverConfig {
+            migration_bw,
+            ..driver()
+        };
+        let mut sim = Simulation::new(machine_for(bench, 8), MemtisPolicy::new(memtis_cfg()), dcfg);
+        let r = sim.run(&mut wl).expect("simulation should complete");
+        // MEMTIS performs no policy work in fault context; the only app-side
+        // extra costs are the driver's own unmap/demand-fault bookkeeping.
+        assert!(r.daemon_ns > 0.0, "{migration_bw:?}: daemons did work");
+        assert!(
+            r.stats.migration.promoted_4k > 0,
+            "{migration_bw:?}: daemons promoted pages"
+        );
+        assert!(
+            r.app_extra_ns < r.wall_ns * 0.05,
+            "{migration_bw:?}: app-side extras {:.0}ns vs wall {:.0}ns",
+            r.app_extra_ns,
+            r.wall_ns
+        );
+    }
 }
 
 #[test]

@@ -263,3 +263,42 @@ fn restore_rejects_mismatched_policy() {
         "mismatched policy config must be rejected"
     );
 }
+
+/// Gauge keys decode only against the restoring policy's own timeline
+/// names: renaming one saved key, in the timeline rows or in a telemetry
+/// window, makes the snapshot corrupt instead of minting a new name.
+#[test]
+fn restore_rejects_unknown_timeline_key() {
+    let dcfg = || driver(DEFAULT_CHUNK, None, None);
+    let mut sim = Simulation::new(machine(), memtis_policy(), dcfg());
+    assert!(sim
+        .run_until(&mut stream(), Some(20_000))
+        .unwrap()
+        .is_none());
+    let bytes = sim.snapshot();
+    drop(sim);
+
+    let mut sim = Simulation::new(machine(), memtis_policy(), dcfg());
+    sim.restore(&bytes).expect("untouched snapshot restores");
+
+    let key = b"warm_bytes";
+    let hits: Vec<usize> = bytes
+        .windows(key.len())
+        .enumerate()
+        .filter(|(_, w)| w == key)
+        .map(|(at, _)| at)
+        .collect();
+    assert!(
+        hits.len() >= 2,
+        "timeline rows and windows both carry the key"
+    );
+    for at in [hits[0], hits[hits.len() - 1]] {
+        let mut bad = bytes.clone();
+        bad[at..at + key.len()].copy_from_slice(b"worm_bytes");
+        let mut sim = Simulation::new(machine(), memtis_policy(), dcfg());
+        match sim.restore(&bad) {
+            Err(SimError::Snapshot(msg)) => assert!(msg.contains("unknown name"), "{msg}"),
+            other => panic!("renamed key at byte {at} must be rejected, got {other:?}"),
+        }
+    }
+}
